@@ -4,7 +4,8 @@ a coboundary complex with exact cohomology, and Lax-type time evolution.
 The public surface re-exports the working vocabulary; the modules group as
 
     multiop     dense operations, partial composition, evaluation
-    braces      total composition, cup product, tri/tetrabraces, bracket
+    braces      the brace h{g1..gk} (total composition, tri- and tetrabrace,
+                mu.mu are its named cases), cup product, bracket
     coboundary  the operator [., mu] and its derivation deviations
     cohomology  exact matrices, ranks, Betti tables, preimages
     dynamics    RK4 integration of dL/dt = [M, L] plus the closed-form oracle
@@ -13,6 +14,7 @@ The public surface re-exports the working vocabulary; the modules group as
 """
 
 from .braces import (
+    brace,
     bracket,
     compose_associator,
     cup,
@@ -81,6 +83,7 @@ from .multiop import (
     ENDO,
     EXACT,
     FLOAT,
+    MAX_STEPS,
     SIZE_CAP,
     MultiOp,
     add,

@@ -1,17 +1,25 @@
-"""Brace operations built from partial composition.
+"""The brace operation, its named special cases, the cup product and bracket.
 
-Everything here is a signed sum of partial compositions:
+Every sum here is one operation, the brace
 
-    total_compose(f, g)   f . g = sum_i f o_i g over all slots of f
-    cup(mu, f, g)         f ~ g = (-1)**deg(f) (mu o_0 f) o_deg(f) g
-    tribrace(h, f, g)     {h; f, g}   = sum (h o_i f) o_j g,  j >= i + deg f
-    tetrabrace(h, f, g, b) {h; f, g, b} = sum ((h o_i f) o_j g) o_k b,
-                          j >= i + deg f, k >= j + deg g
-    bracket(f, g)         [f, g] = f . g - (-1)**(|f| |g|) g . f
+    brace(h, g1, ..., gk)   h{g1, ..., gk} = sum (..(h o_i1 g1) o_i2 g2 ..) o_ik gk
 
-The brace sums insert the later arguments strictly to the right of the
-earlier ones.  Empty sums return the zero op of the nominal degree; if that
-degree would be negative the operation raises DegreeUnderflowError instead.
+over insertion points with i(m+1) >= i(m) + deg g(m): each argument goes
+strictly to the right of the block filled by the one before it, and h{} = h.
+The named special cases are
+
+    total_compose(f, g)     f . g = f{g} = sum_i f o_i g over all slots of f
+    tribrace(h, f, g)       {h; f, g} = h{f, g}
+    tetrabrace(h, f, g, b)  {h; f, g, b} = h{f, g, b}
+    mu_squared(mu)          mu . mu = mu{mu}, the associator tensor
+
+and on top of them
+
+    cup(mu, f, g)           f ~ g = (-1)**deg(f) (mu o_0 f) o_deg(f) g
+    bracket(f, g)           [f, g] = f . g - (-1)**(|f| |g|) g . f
+
+Empty brace sums return the zero op of the nominal degree; if that degree
+would be negative the brace raises DegreeUnderflowError instead.
 """
 
 from __future__ import annotations
@@ -32,16 +40,37 @@ def _zero(like: MultiOp, degree: int) -> MultiOp:
     return zero_op(like.dim, degree, like.variance, like.backend)
 
 
+def brace(h: MultiOp, *gs: MultiOp) -> MultiOp:
+    """h{g1, ..., gk}: sum over disjoint right-ordered insertions of the gs.
+
+    The terms are added one at a time in lexicographic order of their
+    insertion points.
+    """
+    for outer, inner in zip((h, *gs), gs):
+        _check_pair(outer, inner)
+    if not gs:
+        return h
+    out = _insert(None, h, gs, 0)
+    if out is None:
+        return _zero(h, h.degree + sum(g.reduced_degree for g in gs))
+    return out
+
+
+def _insert(out, op: MultiOp, gs, start: int):
+    """Add to out every term with gs[0] in a slot of op at or after start."""
+    g, rest = gs[0], gs[1:]
+    for i in range(start, op.degree - len(rest)):
+        term = partial_compose(op, g, i)
+        if rest:
+            out = _insert(out, term, rest, i + g.degree)
+        else:
+            out = term if out is None else add(out, term)
+    return out
+
+
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
     """Sum of g inserted into every slot of f (degree f + |g|)."""
-    _check_pair(f, g)
-    out = None
-    for i in range(f.degree):
-        term = partial_compose(f, g, i)
-        out = term if out is None else add(out, term)
-    if out is None:
-        return _zero(f, f.degree + g.reduced_degree)
-    return out
+    return brace(f, g)
 
 
 def mu_squared(mu: MultiOp) -> MultiOp:
@@ -50,7 +79,7 @@ def mu_squared(mu: MultiOp) -> MultiOp:
     Zero exactly when mu is associative.
     """
     _require_mu(mu)
-    return total_compose(mu, mu)
+    return brace(mu, mu)
 
 
 def cup(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
@@ -66,40 +95,12 @@ def cup(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
 
 def tribrace(h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
     """Double sum (h o_i f) o_j g with g strictly right of f's block."""
-    _check_pair(h, f)
-    _check_pair(f, g)
-    upper_j = h.reduced_degree + f.reduced_degree
-    out = None
-    for i in range(h.degree - 1):
-        hf = partial_compose(h, f, i)
-        for j in range(i + f.degree, upper_j + 1):
-            term = partial_compose(hf, g, j)
-            out = term if out is None else add(out, term)
-    if out is None:
-        return _zero(h, h.degree + f.reduced_degree + g.reduced_degree)
-    return out
+    return brace(h, f, g)
 
 
 def tetrabrace(h: MultiOp, f: MultiOp, g: MultiOp, b: MultiOp) -> MultiOp:
     """Triple sum ((h o_i f) o_j g) o_k b with disjoint right-ordered blocks."""
-    _check_pair(h, f)
-    _check_pair(f, g)
-    _check_pair(g, b)
-    rh, rf, rg = h.reduced_degree, f.reduced_degree, g.reduced_degree
-    out = None
-    for i in range(h.degree - 2):
-        hf = partial_compose(h, f, i)
-        for j in range(i + f.degree, rh + rf):
-            hfg = partial_compose(hf, g, j)
-            for k in range(j + g.degree, rh + rf + rg + 1):
-                term = partial_compose(hfg, b, k)
-                out = term if out is None else add(out, term)
-    if out is None:
-        return _zero(
-            h,
-            h.degree + f.reduced_degree + g.reduced_degree + b.reduced_degree,
-        )
-    return out
+    return brace(h, f, g, b)
 
 
 def bracket(f: MultiOp, g: MultiOp) -> MultiOp:

@@ -54,6 +54,20 @@ EXIT_NON_FINITE = 5
 EXIT_MISSING_INIT = 6
 
 
+class MissingInitialOpError(ConfigError):
+    """--degree >= 2 without --l-init: no canonical initial operation exists."""
+
+
+# Looked up along the exception's MRO, so the most specific class wins.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    NotAssociativeError: EXIT_NOT_ASSOCIATIVE,
+    NonFiniteError: EXIT_NON_FINITE,
+    MissingInitialOpError: EXIT_MISSING_INIT,
+    OperadError: EXIT_CONFIG,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="operadics",
@@ -210,10 +224,11 @@ def _cmd_cohomology(args) -> tuple[int, str]:
         }
         return (EXIT_OK, _machine(doc))
     lines = [f"algebra: {table.name} (dim {table.dim}), degrees 0..{table.n_max}"]
-    lines.append("  n  dim C^n  rank  kernel  H^n")
+    width = len(str(table.n_max))
+    lines.append(f"  {'n':>{width}}  dim C^n  rank  kernel  H^n")
     for n in range(table.n_max + 1):
         lines.append(
-            f"  {n}  {table.dims[n]:>7}  {table.ranks[n]:>4}  "
+            f"  {n:>{width}}  {table.dims[n]:>7}  {table.ranks[n]:>4}  "
             f"{table.kernels[n]:>6}  {table.betti[n]:>3}"
         )
     return (EXIT_OK, "\n".join(lines) + "\n")
@@ -242,12 +257,10 @@ def _cmd_lax(args) -> tuple[int, str]:
 
 def _cmd_oscillator(args) -> tuple[int, str]:
     if args.degree >= 2 and args.l_init is None:
-        print(
-            "error: --degree >= 2 needs --l-init FILE (no canonical initial "
-            "operation exists)",
-            file=sys.stderr,
+        raise MissingInitialOpError(
+            "--degree >= 2 needs --l-init FILE (no canonical initial "
+            "operation exists)"
         )
-        return (EXIT_MISSING_INIT, "")
     l_init = None
     if args.l_init is not None:
         l_init = load_initial_op(args.l_init, 2)
@@ -310,21 +323,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, text = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotAssociativeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ASSOCIATIVE
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_FINITE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OperadError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
     if text:
         if args.out is not None:
             with open(args.out, "w", newline="") as handle:

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     SizeCapError,
 )
-from .multiop import ENDO, SIZE_CAP, MultiOp, is_zero, op_norm
+from .multiop import ENDO, SIZE_CAP, MultiOp, _classify, is_zero, op_norm
 from .scalars import format_exact, parse_exact
 
 
@@ -92,8 +92,7 @@ def _exact_array(values) -> np.ndarray:
             out.append(v)
         else:
             raise ParseError(f"exact scalar expected, got {type(v).__name__}")
-    dtype = object if any(isinstance(v, Fraction) for v in out) else np.int64
-    return np.array(out, dtype=dtype)
+    return np.array(out, dtype=_classify(out))
 
 
 def algebra_from_json(text: str) -> AlgebraSpec:
@@ -384,10 +383,3 @@ def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:
     for b in basis:
         out = out + rng.randint(-3, 3) * b
     return out
-
-
-def complex_property(spec: AlgebraSpec, n: int) -> bool:
-    """rank(d|C^(n-1)) + rank(d|C^n) <= dim C^n, the image-inside-kernel check."""
-    rank_prev = exact_rank(coboundary_matrix(spec, n - 1)) if n >= 1 else 0
-    rank_n = exact_rank(coboundary_matrix(spec, n))
-    return rank_prev + rank_n <= spec.dim ** (n + 1)

@@ -16,9 +16,10 @@ compositions, so the result is deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     ParseError,
     VarianceMismatchError,
 )
-from .multiop import ENDO, MultiOp, op_norm, partial_compose, sub
+from .multiop import ENDO, MAX_STEPS, MultiOp, op_norm, partial_compose, sub
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
 
@@ -101,10 +102,17 @@ class LaxSystem:
             raise DimMismatchError(f"dim {self.m.dim} vs {self.l0.dim}")
         if self.m.variance != ENDO or self.l0.variance != ENDO:
             raise VarianceMismatchError("Lax systems use the endomorphism variance")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ConfigError("t_end must be at least dt")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.t_end < math.inf:
+            raise ConfigError(
+                f"t_end must be finite and at least dt, got {self.t_end}"
+            )
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ConfigError(
+                f"t_end / dt = {self.t_end / self.dt:g} exceeds the cap of "
+                f"{MAX_STEPS} steps"
+            )
         for name in self.observe:
             if name not in OBSERVER_NAMES:
                 raise ConfigError(f"unknown observer {name!r}")
@@ -149,9 +157,8 @@ def integrate(system: LaxSystem) -> list[TrajectorySample]:
     state = None if system.state0 is None else np.array(system.state0, np.float64)
     srhs = system.state_rhs
     dt = system.dt
+    # LaxSystem guarantees 1 <= steps <= MAX_STEPS
     steps = int(round(system.t_end / dt))
-    if steps < 1:
-        raise ConfigError("t_end must cover at least one step")
 
     def snapshot(t: float, state_vec, coeffs) -> TrajectorySample:
         l = MultiOp._wrap(mf.dim, degree, ENDO, coeffs.copy())
@@ -251,16 +258,20 @@ def _op_from_doc(doc, dim: int, what: str) -> MultiOp:
         raise ParseError(
             f"{what} needs {dim ** (degree + 1)} coefficients for degree {degree}"
         )
-    values = _float_list(coeffs, what)
+    values = [_finite(v, what) for v in coeffs]
     return MultiOp(dim, degree, ENDO, np.array(values, dtype=np.float64))
 
 
-def _float_list(raw, what: str) -> list[float]:
-    out = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{what} has a non-numeric entry {v!r}")
-        out.append(float(v))
+def _finite(value, what: str) -> float:
+    """A JSON number as a finite float; NaN, infinities and overflow are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what}: {value!r} is not a number")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParseError(f"{what}: {out} is not finite")
     return out
 
 
@@ -287,13 +298,13 @@ def load_lax_system(path) -> LaxSystem:
     raw_m = doc["M"]
     if not isinstance(raw_m, list) or len(raw_m) != dim * dim:
         raise ParseError(f"'M' must list {dim * dim} coefficients")
-    m = MultiOp(dim, 1, ENDO, np.array(_float_list(raw_m, "'M'"), np.float64))
+    m = MultiOp(dim, 1, ENDO, np.array([_finite(v, "'M'") for v in raw_m], np.float64))
     l0 = _op_from_doc(doc["L0"], dim, "'L0'")
-    dt = doc["dt"]
-    t_end = doc["t_end"]
-    if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not dt > 0:
+    dt = _finite(doc["dt"], "'dt'")
+    t_end = _finite(doc["t_end"], "'t_end'")
+    if not dt > 0:
         raise ParseError("'dt' must be a positive number")
-    if isinstance(t_end, bool) or not isinstance(t_end, (int, float)) or t_end < dt:
+    if t_end < dt:
         raise ParseError("'t_end' must be a number >= dt")
     observe = doc.get("observe", [])
     if not isinstance(observe, list) or not all(isinstance(s, str) for s in observe):
@@ -301,18 +312,4 @@ def load_lax_system(path) -> LaxSystem:
     for name in observe:
         if name not in OBSERVER_NAMES:
             raise ParseError(f"unknown observer {name!r} in system file")
-    return LaxSystem(m=m, l0=l0, dt=float(dt), t_end=float(t_end), observe=tuple(observe))
-
-
-def finite_difference_derivative(
-    func: Callable[[float], MultiOp], t: float, step: float = 1e-5
-) -> MultiOp:
-    """Central-difference d/dt of a MultiOp-valued curve (float backend)."""
-    hi = func(t + step)
-    lo = func(t - step)
-    return (1.0 / (2.0 * step)) * sub(hi, lo)
-
-
-def flatten_samples(samples: Sequence[TrajectorySample]) -> np.ndarray:
-    """Stack the L coefficient rows of a trajectory into one float matrix."""
-    return np.stack([s.l.coeffs for s in samples])
+    return LaxSystem(m=m, l0=l0, dt=dt, t_end=t_end, observe=tuple(observe))

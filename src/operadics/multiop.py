@@ -55,6 +55,9 @@ FLOAT = "float"
 # Hard cap on coefficient storage: d**(degree+1) entries.
 SIZE_CAP = 65536
 
+# Hard cap on RK4 steps per run (t_end / dt); every step keeps one sample.
+MAX_STEPS = 1_000_000
+
 # Promote int64 to object (big int) arithmetic before magnitudes reach this.
 _INT64_GUARD = 2**62
 

@@ -17,11 +17,6 @@ def sign_pow(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-def reduced(degree: int) -> int:
-    """Reduced degree: one less than the number of inputs."""
-    return degree - 1
-
-
 def parse_exact(text: str) -> Fraction:
     """Parse an exact scalar written as 'p' or 'p/q'."""
     try:

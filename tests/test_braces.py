@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from operadics.braces import (
+    brace,
     bracket,
     compose_associator,
     cup,
@@ -25,6 +26,7 @@ from operadics.braces import (
 from operadics.errors import DegreeMismatchError, DegreeUnderflowError
 from operadics.multiop import (
     ENDO,
+    FLOAT,
     MultiOp,
     add,
     apply,
@@ -83,6 +85,24 @@ def tetrabrace_oracle(h, f, g, b):
     out = terms[0]
     for t in terms[1:]:
         out = add(out, t)
+    return out
+
+
+def brace_oracle(h, *gs):
+    """Sum over original slot tuples i1 < ... < ik of h, later slots shifted
+    by the reduced degrees of the operands inserted before them."""
+    out = zero_op(
+        h.dim,
+        h.degree + sum(g.reduced_degree for g in gs),
+        h.variance,
+        h.backend,
+    )
+    for slots in combinations(range(h.degree), len(gs)):
+        term, shift = h, 0
+        for g, slot in zip(gs, slots):
+            term = partial_compose(term, g, slot + shift)
+            shift += g.reduced_degree
+        out = add(out, term)
     return out
 
 
@@ -189,6 +209,68 @@ def test_empty_brace_sums_are_zero_of_nominal_degree():
     assert is_zero(out) and out.degree == 1
     with pytest.raises(DegreeUnderflowError):
         tribrace(_scalar(1, 1), _scalar(1, 0), _scalar(1, 0))
+
+
+def test_brace_matches_slot_tuple_oracle():
+    for k in (1, 2, 3, 4):
+        for seed in range(40):
+            rng = random.Random(1000 * k + seed)
+            d = rng.randint(1, 2)
+            deg_h = rng.randint(0, k + 1)
+            degs = [rng.randint(0, 2) for _ in range(k)]
+            if deg_h + sum(degs) - k < 0:
+                continue
+            h = random_op(rng, d, deg_h, ENDO)
+            gs = [random_op(rng, d, n, ENDO) for n in degs]
+            assert brace(h, *gs) == brace_oracle(h, *gs), f"k {k} seed {seed}"
+
+
+def test_brace_of_nothing_is_the_operation():
+    h = random_op(random.Random(5), 2, 3, ENDO)
+    assert brace(h) == h == brace_oracle(h)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_empty_brace_is_zero_of_nominal_degree_or_underflows(k):
+    # k - 1 slots cannot hold k disjoint blocks
+    h = _scalar(2, k - 1)
+    out = brace(h, *[_scalar(3, 1)] * k)
+    assert is_zero(out) and out.degree == k - 1
+    with pytest.raises(DegreeUnderflowError):
+        brace(h, *[_scalar(3, 0)] * k)
+
+
+def test_brace_computes_no_dead_insertions(monkeypatch):
+    # every partial composition is a prefix of some term: with four slots
+    # and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4 third
+    # insertions
+    calls = []
+
+    def counting(f, g, i):
+        calls.append(i)
+        return partial_compose(f, g, i)
+
+    monkeypatch.setattr("operadics.braces.partial_compose", counting)
+    one = _scalar(1, 1)
+    assert brace(_scalar(1, 4), one, one, one).coeffs[0] == 4
+    assert len(calls) == 2 + 3 + 4
+
+
+def test_named_braces_equal_the_kernel_on_floats():
+    # same terms added in the same order, so equal to the last bit
+    rng = random.Random(8)
+    mu = random_op(rng, 2, 2, ENDO, FLOAT)
+    h = random_op(rng, 2, 4, ENDO, FLOAT)
+    f, g, b = (random_op(rng, 2, n, ENDO, FLOAT) for n in (2, 1, 2))
+    pairs = [
+        (total_compose(h, f), brace(h, f)),
+        (tribrace(h, f, g), brace(h, f, g)),
+        (tetrabrace(h, f, g, b), brace(h, f, g, b)),
+        (mu_squared(mu), brace(mu, mu)),
+    ]
+    for named, kernel in pairs:
+        assert np.array_equal(named.coeffs, kernel.coeffs)
+    assert np.array_equal(tribrace(h, f, g).coeffs, tribrace_oracle(h, f, g).coeffs)
 
 
 # --- evaluation-level checks ---------------------------------------------

@@ -4,6 +4,7 @@ Every command is run twice to pin byte-identical output; exit codes are
 asserted for each documented failure class.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,12 +15,20 @@ from operadics.bundled import BUNDLED_FILES, bundled_path
 from operadics.errors import ConfigError
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "operadics.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def assert_one_line_error(r, code):
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
 
 
 def run_twice(*args):
@@ -139,6 +148,32 @@ def test_cohomology_nonassociative_exits_three(tmp_path):
     assert "not associative" in r.stderr
 
 
+def test_cohomology_promotes_integers_beyond_int64(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps({"name": "big", "dim": 1, "mu": ["99999999999999999999999"]})
+    )
+    r = run_cli("cohomology", "--algebra", str(path))
+    assert r.returncode == 0, r.stderr
+    field = run_cli("cohomology", "--algebra", str(bundled_path("field.json")))
+    # a nonzero rescaling of the field's product has the same table
+    assert r.stdout.splitlines()[1:] == field.stdout.splitlines()[1:]
+
+
+def test_cohomology_table_stays_aligned_past_degree_nine():
+    r = run_cli(
+        "cohomology",
+        "--algebra",
+        str(bundled_path("field.json")),
+        "--max-degree",
+        "11",
+    )
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()[1:]
+    assert len(lines) == 1 + 12
+    assert len({len(line) for line in lines}) == 1
+
+
 def test_cohomology_rejects_float_backend():
     r = run_cli(
         "cohomology",
@@ -204,6 +239,50 @@ def test_lax_divergent_run_exits_five(tmp_path):
     assert "non-finite" in r.stderr
 
 
+def _lax_file(tmp_path, **overrides):
+    doc = json.loads(bundled_path("lax_deg1.json").read_text())
+    doc.update(overrides)
+    path = tmp_path / "system.json"
+    # json.dumps writes NaN and Infinity, which json.loads accepts
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"t_end": float("inf")},
+        {"t_end": 10**400},
+        {"dt": float("nan")},
+        {"t_end": float("nan")},
+        {"M": [0.0, float("-inf"), 1.0, 0.0]},
+        {"L0": {"degree": 1, "coeffs": [0.0, float("nan"), 2.0, 0.0]}},
+    ],
+)
+def test_lax_non_finite_file_input_is_a_parse_error(tmp_path, overrides):
+    path = _lax_file(tmp_path, **overrides)
+    assert_one_line_error(run_cli("lax", "--system", path), 4)
+
+
+@pytest.mark.parametrize("flag", ["--t-end", "--dt"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_lax_non_finite_flag_is_a_config_error(flag, value):
+    system = str(bundled_path("lax_deg1.json"))
+    assert_one_line_error(run_cli("lax", "--system", system, flag, value), 2)
+
+
+def test_step_cap_is_a_config_error(tmp_path):
+    # Each run asks for more than MAX_STEPS steps, which the cap rejects
+    # before any sample is kept; the short timeout bounds a broken cap.
+    path = _lax_file(tmp_path, dt=1e-6, t_end=1.5)
+    for args in (
+        ("oscillator", "--dt", "1e-300", "--t-end", "1e-290"),
+        ("oscillator", "--t-end", "inf"),
+        ("lax", "--system", path),
+    ):
+        assert_one_line_error(run_cli(*args, timeout=30), 2)
+
+
 def test_lax_out_file_matches_stdout(tmp_path):
     out = tmp_path / "run.csv"
     args = ("lax", "--system", str(bundled_path("lax_deg1.json")), "--t-end", "0.01")
@@ -228,7 +307,7 @@ def test_oscillator_default_run():
 
 def test_oscillator_degree_two_needs_l_init():
     r = run_cli("oscillator", "--degree", "2", "--t-end", "0.01")
-    assert r.returncode == 6
+    assert_one_line_error(r, 6)
     assert "--l-init" in r.stderr
 
 
@@ -280,3 +359,55 @@ def test_help_exits_zero():
     assert r.returncode == 0
     for sub in ("verify", "cohomology", "lax", "oscillator"):
         assert sub in r.stdout
+
+
+# --- pinned exact outputs ---------------------------------------------------------
+
+# sha256 of stdout for commands whose output is exact or pass/fail only.  A
+# change that should keep behaviour keeps these digests.
+PINNED = [
+    (
+        ("verify", "--cases", "4"),
+        "e0abb346362df33104747b58cf8c873acfe2e1bc69c7623c7ce86de8cf58fd8c",
+    ),
+    (
+        ("verify", "--cases", "4", "--format", "machine"),
+        "e76f4ba54caaf517d72fbf90424eb2104d0adba6bbd4472e5eeaf4dc78dc8067",
+    ),
+    (
+        ("verify", "--cases", "4", "--backend", "float"),
+        "170f3587b540b442049feafe396c97257727ac38ff1bcc0672e97ea66aec5fbc",
+    ),
+    (
+        ("cohomology", "--algebra", "field.json"),
+        "48fd3948534d975e29417d14c60c8684caa8e62783170fb1a0ef8fe7954f6622",
+    ),
+    (
+        ("cohomology", "--algebra", "field.json", "--format", "machine"),
+        "b14b0968ebe235c9f5b27d41f59ef6fd41a6eb8821865f3319bda9cc3f8b402d",
+    ),
+    (
+        ("cohomology", "--algebra", "dual_numbers.json"),
+        "5e1a7c1b8341ae4a6d641d0b1b1753eed710315f754c0d16465470d0ab960b50",
+    ),
+    (
+        ("cohomology", "--algebra", "dual_numbers.json", "--format", "machine"),
+        "aa566800af376e9b0bc960dd8e68e4cba55e9695ae23ba031f1abe9040bb6106",
+    ),
+    (
+        ("cohomology", "--algebra", "mat2.json"),
+        "904e71aeae6a3fb8ffdde266e2d0131eb7e0ec6d036d19f1265bd9b0bd13ed0c",
+    ),
+    (
+        ("cohomology", "--algebra", "mat2.json", "--format", "machine"),
+        "168c1919a0ee0a42aba20e80c3a6952a087d6125595eca94720474ecedd7acc3",
+    ),
+]
+
+
+def test_exact_outputs_pinned():
+    for args, digest in PINNED:
+        args = [str(bundled_path(a)) if a.endswith(".json") else a for a in args]
+        r = run_cli(*args)
+        assert r.returncode == 0, (args, r.stderr)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, args
