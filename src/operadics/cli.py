@@ -21,14 +21,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .cohomology import betti_table, default_n_max, load_algebra
-from .dynamics import (
-    integrate,
-    load_initial_op,
-    load_lax_system,
-    monitor_associator,
-    monitor_trace_power,
-)
+from .cohomology import betti_table, load_algebra
+from .dynamics import integrate, load_initial_op, load_lax_system
 from .errors import (
     ConfigError,
     NonFiniteError,
@@ -200,11 +194,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 def _cmd_cohomology(args) -> tuple[int, str]:
     if args.backend != "exact":
         raise ConfigError("cohomology requires the exact backend")
-    spec = load_algebra(args.algebra)
-    n_max = args.max_degree
-    if n_max is None:
-        n_max = default_n_max(spec.dim)
-    table = betti_table(spec, n_max)
+    table = betti_table(load_algebra(args.algebra), args.max_degree)
     if args.format == "machine":
         doc = {
             "command": "cohomology",
@@ -271,24 +261,20 @@ def _cmd_oscillator(args) -> tuple[int, str]:
         degree=args.degree,
         l_init=l_init,
     )
-    samples = integrate(oscillator_system(params, args.dt, args.t_end))
-    columns = ["t", "q", "p", "H"]
-    if params.degree == 1:
-        columns.append("trace2")
-    elif params.degree == 2:
-        columns.append("assoc_defect")
-    size = 2 ** (params.degree + 1)
-    columns.extend(f"L{k}" for k in range(size))
-    rows = []
-    for s in samples:
-        q, p = s.state
-        row = [s.t, q, p, hamiltonian(q, p, params.omega)]
-        if params.degree == 1:
-            row.append(monitor_trace_power(s.l, 2))
-        elif params.degree == 2:
-            row.append(monitor_associator(s.l))
-        row.extend(map(float, s.l.coeffs))
-        rows.append(row)
+    system = oscillator_system(params, args.dt, args.t_end)
+    samples = integrate(system)
+    size = system.l0.coeffs.size
+    columns = ["t", "q", "p", "H", *system.observe, *(f"L{k}" for k in range(size))]
+    rows = [
+        [
+            s.t,
+            *s.state,
+            hamiltonian(*s.state, params.omega),
+            *(s.invariants[name] for name in system.observe),
+            *map(float, s.l.coeffs),
+        ]
+        for s in samples
+    ]
     report = monodromy_report(params)
     if args.format == "machine":
         doc = {

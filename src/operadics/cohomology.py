@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     SizeCapError,
 )
-from .multiop import ENDO, SIZE_CAP, MultiOp, _classify, is_zero, op_norm
+from .multiop import ENDO, SIZE_CAP, MultiOp, is_zero, zero_op
 from .scalars import format_exact, parse_exact
 
 
@@ -92,13 +92,13 @@ def _exact_array(values) -> np.ndarray:
             out.append(v)
         else:
             raise ParseError(f"exact scalar expected, got {type(v).__name__}")
-    return np.array(out, dtype=_classify(out))
+    return np.array(out, dtype=object)
 
 
 def algebra_from_json(text: str) -> AlgebraSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also Python's limit on integer literal digits
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("algebra file must contain a JSON object")
@@ -136,7 +136,7 @@ def algebra_to_json(spec: AlgebraSpec) -> str:
 def load_algebra(path) -> AlgebraSpec:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return algebra_from_json(text)
 
@@ -147,7 +147,7 @@ def save_algebra(spec: AlgebraSpec, path) -> None:
 
 def basis_op(dim: int, degree: int, index: int, variance: str = ENDO) -> MultiOp:
     size = dim ** (degree + 1)
-    data = np.zeros(size, dtype=np.int64)
+    data = np.zeros(size, dtype=object)
     data[index] = 1
     return MultiOp(dim, degree, variance, data)
 
@@ -182,13 +182,11 @@ def _entry_rows(matrix) -> list[list]:
 
 
 def _clear_denominators(rows: list[list]) -> list[list[int]]:
+    """Scale each row of ints and Fractions by the lcm of its denominators."""
     out = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = 1
-        for x in fracs:
-            mult = mult * x.denominator // math.gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in fracs])
+        mult = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * mult) for x in row])
     return out
 
 
@@ -305,7 +303,7 @@ def _require_associative(spec: AlgebraSpec):
     if not is_zero(square):
         raise NotAssociativeError(
             f"mu of {spec.name!r} is not associative: "
-            f"op_norm(mu.mu) = {op_norm(square)}"
+            f"{np.count_nonzero(square.coeffs)} coefficients of mu.mu are nonzero"
         )
 
 
@@ -354,7 +352,7 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
     if f.degree < 1:
         raise DegreeMismatchError("degree-0 operations have no preimage degree")
     matrix = coboundary_matrix(spec, f.degree - 1)
-    solution = solve_linear(matrix, [Fraction(x) for x in f.coeffs.tolist()])
+    solution = solve_linear(matrix, f.coeffs.tolist())
     if solution is None:
         return None
     return MultiOp(spec.dim, f.degree - 1, f.variance, _exact_array(solution))
@@ -363,23 +361,15 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
 def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
     """Integer basis of the kernel of the coboundary in the given degree."""
     _require_associative(spec)
-    vectors = nullspace(coboundary_matrix(spec, degree))
-    basis = []
-    for vec in vectors:
-        mult = 1
-        for x in vec:
-            mult = mult * x.denominator // math.gcd(mult, x.denominator)
-        basis.append(
-            MultiOp(spec.dim, degree, ENDO, _exact_array([x * mult for x in vec]))
-        )
-    return basis
+    rows = _clear_denominators(nullspace(coboundary_matrix(spec, degree)))
+    return [MultiOp(spec.dim, degree, ENDO, row) for row in rows]
 
 
 def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:
     """Random integer combination of kernel basis vectors (a cocycle)."""
     if basis is None:
         basis = cocycle_basis(spec, degree)
-    out = MultiOp(spec.dim, degree, ENDO, np.zeros(spec.dim ** (degree + 1), np.int64))
+    out = zero_op(spec.dim, degree)
     for b in basis:
         out = out + rng.randint(-3, 3) * b
     return out

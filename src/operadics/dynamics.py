@@ -239,7 +239,7 @@ def load_initial_op(path, dim: int) -> MultiOp:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also Python's limit on integer literal digits
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     return _op_from_doc(doc, dim, "initial operation")
 
@@ -285,7 +285,7 @@ def load_lax_system(path) -> LaxSystem:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also Python's limit on integer literal digits
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("system file must contain a JSON object")

@@ -18,14 +18,13 @@ where |g| = deg g - 1 is the reduced degree.  In this flat layout the
 endomorphism and coendomorphism contractions coincide: g's primary index
 always contracts into slot i of f's secondary block.
 
-Exact coefficients are Python ints or Fractions (held in int64 or object
-arrays); the float backend uses float64.  int64 arithmetic is guarded by a
-conservative magnitude bound and promoted to object before it could wrap,
-so exact results are exact regardless of dtype.
+Exact coefficients are Python ints or Fractions held in object arrays, so
+they never overflow; the float backend uses float64.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,23 +57,21 @@ SIZE_CAP = 65536
 # Hard cap on RK4 steps per run (t_end / dt); every step keeps one sample.
 MAX_STEPS = 1_000_000
 
-# Promote int64 to object (big int) arithmetic before magnitudes reach this.
-_INT64_GUARD = 2**62
 
+def _coefficient_array(values) -> np.ndarray:
+    """Coefficients of a Python sequence: float64 if it holds floats, else exact.
 
-def _classify(values):
-    """Pick a storage dtype for a python sequence of coefficients."""
+    Exact values are kept as Python ints and Fractions; numpy integers become
+    ints, so later arithmetic on them cannot wrap.
+    """
     has_float = any(isinstance(v, float) for v in values)
     has_exact = any(isinstance(v, Fraction) for v in values)
     if has_float and has_exact:
         raise BackendMismatchError("cannot mix float and Fraction coefficients")
     if has_float:
-        return np.float64
-    if has_exact:
-        return object
-    if all(abs(v) < _INT64_GUARD for v in values):
-        return np.int64
-    return object
+        return np.array(values, dtype=np.float64)
+    exact = [v if isinstance(v, Fraction) else operator.index(v) for v in values]
+    return np.array(exact, dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +98,10 @@ class MultiOp:
             )
         arr = self.coeffs
         if not isinstance(arr, np.ndarray):
-            values = list(arr)
-            arr = np.array(values, dtype=_classify(values))
-        elif arr.dtype not in (np.int64, np.float64) and arr.dtype != object:
+            arr = _coefficient_array(list(arr))
+        elif arr.dtype != np.float64 and arr.dtype != object:
             if np.issubdtype(arr.dtype, np.integer):
-                arr = arr.astype(np.int64)
+                arr = arr.astype(object)
             elif np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float64)
             else:
@@ -173,10 +169,6 @@ class MultiOp:
         )
 
 
-def _max_abs(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max())
-
-
 def _common_backend(f: MultiOp, g: MultiOp) -> str:
     if f.backend != g.backend:
         raise BackendMismatchError(
@@ -204,13 +196,13 @@ def flat_index(dim: int, degree: int, primary: int, secondary: Sequence[int]) ->
 
 
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
-    dtype = np.float64 if backend == FLOAT else np.int64
+    dtype = np.float64 if backend == FLOAT else object
     return MultiOp(dim, degree, variance, np.zeros(dim ** (degree + 1), dtype=dtype))
 
 
 def identity_op(dim: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
     """The operadic unit: the degree-1 identity map (Kronecker delta)."""
-    dtype = np.float64 if backend == FLOAT else np.int64
+    dtype = np.float64 if backend == FLOAT else object
     return MultiOp(dim, 1, variance, np.eye(dim, dtype=dtype).reshape(-1))
 
 
@@ -222,14 +214,7 @@ def add(f: MultiOp, g: MultiOp) -> MultiOp:
     _check_pair(f, g)
     if f.degree != g.degree:
         raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
-    a, b = f.coeffs, g.coeffs
-    if (
-        a.dtype == np.int64
-        and b.dtype == np.int64
-        and _max_abs(a) + _max_abs(b) >= _INT64_GUARD
-    ):
-        a = a.astype(object)
-    return MultiOp._wrap(f.dim, f.degree, f.variance, a + b)
+    return MultiOp._wrap(f.dim, f.degree, f.variance, f.coeffs + g.coeffs)
 
 
 def sub(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -237,28 +222,19 @@ def sub(f: MultiOp, g: MultiOp) -> MultiOp:
 
 
 def scale(s, f: MultiOp) -> MultiOp:
-    arr = f.coeffs
     if f.backend == FLOAT:
         if isinstance(s, Fraction):
             raise BackendMismatchError("Fraction scalar on a float operand")
-        return MultiOp._wrap(f.dim, f.degree, f.variance, float(s) * arr)
-    if isinstance(s, float):
+        s = float(s)
+    elif isinstance(s, float):
         raise BackendMismatchError("float scalar on an exact operand")
-    if isinstance(s, Fraction) and arr.dtype == np.int64:
-        arr = arr.astype(object)
-    elif arr.dtype == np.int64 and abs(s) * max(_max_abs(arr), 1) >= _INT64_GUARD:
-        arr = arr.astype(object)
-    return MultiOp._wrap(f.dim, f.degree, f.variance, s * arr)
+    return MultiOp._wrap(f.dim, f.degree, f.variance, s * f.coeffs)
 
 
 def op_norm(f: MultiOp):
     """Max absolute coefficient (exact scalar or float, matching the backend)."""
     value = np.abs(f.coeffs).max()
-    if f.coeffs.dtype == np.int64:
-        return int(value)
-    if f.coeffs.dtype == np.float64:
-        return float(value)
-    return value
+    return float(value) if f.backend == FLOAT else value
 
 
 def max_abs_diff(f: MultiOp, g: MultiOp):
@@ -285,7 +261,7 @@ def random_op(
     if backend == FLOAT:
         data = np.array([rng.uniform(-1.0, 1.0) for _ in range(size)])
     else:
-        data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64)
+        data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=object)
     return MultiOp(dim, degree, variance, data)
 
 
@@ -307,16 +283,8 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
         raise SizeCapError(
             f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
         )
-    fa, ga = f.coeffs, g.coeffs
-    if fa.dtype == np.int64 and ga.dtype == np.int64:
-        if d * _max_abs(fa) * max(_max_abs(ga), 1) >= _INT64_GUARD:
-            fa = fa.astype(object)
-    elif fa.dtype == object and ga.dtype == np.int64:
-        ga = ga.astype(object)
-    elif fa.dtype == np.int64 and ga.dtype == object:
-        fa = fa.astype(object)
-    f4 = fa.reshape(d, d**i, d, d ** (m - 1 - i))
-    g2 = ga.reshape(d, d**n)
+    f4 = f.coeffs.reshape(d, d**i, d, d ** (m - 1 - i))
+    g2 = g.coeffs.reshape(d, d**n)
     out = np.tensordot(f4, g2, axes=([2], [0]))
     out = np.ascontiguousarray(out.transpose(0, 1, 3, 2)).reshape(size)
     if sign_pow(i * g.reduced_degree) < 0:
@@ -338,5 +306,4 @@ def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:
         if vv.size != d:
             raise DimMismatchError(f"vector of length {vv.size}, dim is {d}")
         arg = np.kron(arg, vv)
-    mat = f.coeffs.astype(object) if exact else f.coeffs
-    return mat.reshape(d, d**f.degree) @ arg
+    return f.coeffs.reshape(d, d**f.degree) @ arg

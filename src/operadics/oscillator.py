@@ -59,6 +59,9 @@ class OscillatorParams:
     l_init: MultiOp | None = None
 
     def __post_init__(self):
+        for name, value in (("omega", self.omega), ("q0", self.q0), ("p0", self.p0)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.omega > 0:
             raise ConfigError(f"omega must be positive, got {self.omega}")
         if self.degree < 1:
@@ -160,7 +163,7 @@ def oscillator_system(params: OscillatorParams, dt: float, t_end: float) -> LaxS
         l0=resolve_l_init(params),
         dt=dt,
         t_end=t_end,
-        observe=(),
+        observe={1: ("trace2",), 2: ("assoc_defect",)}.get(params.degree, ()),
         state0=(params.q0, params.p0),
         state_rhs=rhs,
     )

@@ -44,7 +44,7 @@ from .coboundary import (
     compose_deviation,
     cup_deviation,
 )
-from .cohomology import AlgebraSpec, cocycle_basis
+from .cohomology import AlgebraSpec, cocycle_basis, random_cocycle
 from .errors import ConfigError
 from .multiop import (
     ENDO,
@@ -61,7 +61,6 @@ from .multiop import (
     random_op,
     scale,
     sub,
-    zero_op,
 )
 from .scalars import sign_pow
 
@@ -196,7 +195,7 @@ def _describe(cfg: SuiteConfig, name: str, case: int, named_ops) -> str:
 
 def diagonal_mu(dim: int, backend: str = EXACT, variance: str = ENDO) -> MultiOp:
     """Coordinatewise product: associative for every dim."""
-    data = np.zeros(dim**3, dtype=np.float64 if backend == FLOAT else np.int64)
+    data = np.zeros(dim**3, dtype=np.float64 if backend == FLOAT else object)
     for a in range(dim):
         data[a * dim * dim + a * dim + a] = 1
     return MultiOp(dim, 2, variance, data)
@@ -214,14 +213,11 @@ _COCYCLE_CACHE: dict[int, list[MultiOp]] = {}
 
 
 def _dual_cocycle(rng, degree: int) -> MultiOp:
+    spec = dual_numbers_spec()
     basis = _COCYCLE_CACHE.get(degree)
     if basis is None:
-        basis = cocycle_basis(dual_numbers_spec(), degree)
-        _COCYCLE_CACHE[degree] = basis
-    out = zero_op(2, degree)
-    for b in basis:
-        out = add(out, scale(rng.randint(-3, 3), b))
-    return out
+        basis = _COCYCLE_CACHE[degree] = cocycle_basis(spec, degree)
+    return random_cocycle(rng, spec, degree, basis)
 
 
 # ------------------------------------------------------------- the suites

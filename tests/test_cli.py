@@ -148,6 +148,17 @@ def test_cohomology_nonassociative_exits_three(tmp_path):
     assert "not associative" in r.stderr
 
 
+def test_cohomology_nonassociative_huge_entries_exit_three(tmp_path):
+    # the associator squares these entries past the 4300 digits Python prints
+    big = "9" * 3000
+    mu = ["0", "0", big, "0", big, "0", "0", "0"]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({"name": "twisted", "dim": 2, "mu": mu}))
+    r = run_cli("cohomology", "--algebra", str(path))
+    assert_one_line_error(r, 3)
+    assert "not associative" in r.stderr
+
+
 def test_cohomology_promotes_integers_beyond_int64(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(
@@ -347,6 +358,32 @@ def test_oscillator_rejects_bad_omega():
     assert run_cli("oscillator", "--omega", "0").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flag", ["--q0=nan", "--q0=inf", "--p0=-inf", "--omega=inf", "--omega=nan"]
+)
+def test_oscillator_non_finite_flag_is_a_config_error(flag):
+    # rejected before any step, so no numpy warning reaches stderr
+    assert_one_line_error(run_cli("oscillator", flag, "--t-end", "0.01"), 2)
+
+
+# --- loaders ----------------------------------------------------------------------
+
+# json.loads raises a plain ValueError on integer literals over 4300 digits
+# and read_text a UnicodeDecodeError on bytes that are not UTF-8.
+@pytest.mark.parametrize(
+    "content", [b"[" + b"9" * 5000 + b"]", b"\xff\xfe{}"], ids=["huge-int", "not-utf8"]
+)
+@pytest.mark.parametrize(
+    "args",
+    [("cohomology", "--algebra"), ("lax", "--system"), ("oscillator", "--l-init")],
+    ids=["cohomology", "lax", "oscillator"],
+)
+def test_unparsable_file_is_a_parse_error(tmp_path, args, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert_one_line_error(run_cli(*args, str(path)), 4)
+
+
 # --- argparse level ------------------------------------------------------------
 
 
@@ -363,51 +400,81 @@ def test_help_exits_zero():
 
 # --- pinned exact outputs ---------------------------------------------------------
 
-# sha256 of stdout for commands whose output is exact or pass/fail only.  A
-# change that should keep behaviour keeps these digests.
+# Exit code and sha256 of stdout for commands whose output is exact or
+# pass/fail only.  A change that should keep behaviour keeps these digests.
+# The two corrupt-sign runs are the only ones that print coefficient lists
+# (their counterexamples).
 PINNED = [
     (
+        ("verify", "--cases", "20", "--seed", "7", "--corrupt-sign"),
+        1,
+        "fde50d58256f2875303b598943c1997a8cbed37c1eda9b99695dc222ef63f8fb",
+    ),
+    (
+        (
+            "verify",
+            "--cases",
+            "20",
+            "--seed",
+            "7",
+            "--corrupt-sign",
+            "--format",
+            "machine",
+        ),
+        1,
+        "dc86358584237242362ac0fdbaea72de8a76cdbd17dc596a508329f75c079e0f",
+    ),
+    (
         ("verify", "--cases", "4"),
+        0,
         "e0abb346362df33104747b58cf8c873acfe2e1bc69c7623c7ce86de8cf58fd8c",
     ),
     (
         ("verify", "--cases", "4", "--format", "machine"),
+        0,
         "e76f4ba54caaf517d72fbf90424eb2104d0adba6bbd4472e5eeaf4dc78dc8067",
     ),
     (
         ("verify", "--cases", "4", "--backend", "float"),
+        0,
         "170f3587b540b442049feafe396c97257727ac38ff1bcc0672e97ea66aec5fbc",
     ),
     (
         ("cohomology", "--algebra", "field.json"),
+        0,
         "48fd3948534d975e29417d14c60c8684caa8e62783170fb1a0ef8fe7954f6622",
     ),
     (
         ("cohomology", "--algebra", "field.json", "--format", "machine"),
+        0,
         "b14b0968ebe235c9f5b27d41f59ef6fd41a6eb8821865f3319bda9cc3f8b402d",
     ),
     (
         ("cohomology", "--algebra", "dual_numbers.json"),
+        0,
         "5e1a7c1b8341ae4a6d641d0b1b1753eed710315f754c0d16465470d0ab960b50",
     ),
     (
         ("cohomology", "--algebra", "dual_numbers.json", "--format", "machine"),
+        0,
         "aa566800af376e9b0bc960dd8e68e4cba55e9695ae23ba031f1abe9040bb6106",
     ),
     (
         ("cohomology", "--algebra", "mat2.json"),
+        0,
         "904e71aeae6a3fb8ffdde266e2d0131eb7e0ec6d036d19f1265bd9b0bd13ed0c",
     ),
     (
         ("cohomology", "--algebra", "mat2.json", "--format", "machine"),
+        0,
         "168c1919a0ee0a42aba20e80c3a6952a087d6125595eca94720474ecedd7acc3",
     ),
 ]
 
 
 def test_exact_outputs_pinned():
-    for args, digest in PINNED:
+    for args, code, digest in PINNED:
         args = [str(bundled_path(a)) if a.endswith(".json") else a for a in args]
         r = run_cli(*args)
-        assert r.returncode == 0, (args, r.stderr)
+        assert r.returncode == code, (args, r.stderr)
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, args

@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from operadics.cohomology import (
+    AlgebraSpec,
+    basis_op,
+    cocycle_basis,
+    is_coboundary,
+    random_cocycle,
+)
 from operadics.errors import (
     ArityMismatchError,
     BackendMismatchError,
@@ -41,6 +48,7 @@ from operadics.multiop import (
     zero_op,
 )
 from operadics.scalars import sign_pow
+from operadics.verify import diagonal_mu
 
 
 # --- oracles -----------------------------------------------------------
@@ -211,6 +219,101 @@ def test_int64_addition_overflow_promotes_exactly():
     out = add(f, f)
     assert out.backend == EXACT
     assert out.coeffs[0] == 2 * big
+
+
+# --- exactness beyond int64 --------------------------------------------
+
+# Coefficients at the edges of machine integers: none of them may wrap.
+_EDGES = [0, 2**31, 2**62 - 1, 2**62, 2**62 + 1, 2**63, 2**80]
+big_ints = st.builds(
+    lambda base, sign, offset: sign * base + offset,
+    st.sampled_from(_EDGES),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-1, max_value=1),
+)
+
+
+def big_op(data, dim, degree):
+    values = data.draw(
+        st.lists(big_ints, min_size=dim ** (degree + 1), max_size=dim ** (degree + 1))
+    )
+    return MultiOp(dim, degree, ENDO, values)
+
+
+def assert_python_scalars(op):
+    """Exact results hold Python ints and Fractions, never numpy integers."""
+    assert op.coeffs.dtype == object
+    bad = [x for x in op.coeffs.tolist() if type(x) not in (int, Fraction)]
+    assert not bad, bad
+
+
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_compose_is_exact_beyond_int64(dim, deg_f, deg_g, data):
+    f, g = big_op(data, dim, deg_f), big_op(data, dim, deg_g)
+    i = data.draw(st.integers(min_value=0, max_value=deg_f - 1))
+    got = partial_compose(f, g, i)
+    assert_python_scalars(got)
+    assert got.coeffs.tolist() == compose_oracle(f, g, i).coeffs.tolist()
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    big_ints,
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_add_and_scale_are_exact_beyond_int64(dim, degree, k, data):
+    f, g = big_op(data, dim, degree), big_op(data, dim, degree)
+    a, b = f.coeffs.tolist(), g.coeffs.tolist()
+    results = {
+        "add": (add(f, g), [x + y for x, y in zip(a, b)]),
+        "sub": (sub(f, g), [x - y for x, y in zip(a, b)]),
+        "scale": (scale(k, f), [k * x for x in a]),
+        "scale_np": (scale(np.int64(2**62), f), [2**62 * x for x in a]),
+        "scale_frac": (scale(Fraction(k, 3), f), [Fraction(k, 3) * x for x in a]),
+    }
+    for name, (op, want) in results.items():
+        assert_python_scalars(op)
+        assert op.coeffs.tolist() == want, name
+
+
+def test_numpy_integers_do_not_wrap():
+    one = MultiOp(1, 1, ENDO, [1])
+    out = scale(np.int64(2**62), MultiOp(1, 1, ENDO, [4]))
+    assert out == 2**64 * one
+    listed = MultiOp(1, 1, ENDO, [np.int64(2**62)])
+    assert_python_scalars(listed)
+    assert scale(4, listed) == out
+    assert add(listed, listed) == 2**63 * one
+
+
+def test_exact_constructors_build_python_scalars():
+    spec = AlgebraSpec.from_structure_constants(
+        "dual", 2, [1, 0, 0, 0, 0, Fraction(2, 2), 1, 0]
+    )
+    rng = random.Random(5)
+    cocycle = random_cocycle(rng, spec, 2)
+    ops = [
+        zero_op(2, 2),
+        identity_op(3),
+        random_op(rng, 2, 2),
+        MultiOp(2, 0, ENDO, np.array([1, 2], dtype=np.int32)),
+        diagonal_mu(2),
+        basis_op(2, 1, 3),
+        spec.mu,
+        cocycle,
+        *cocycle_basis(spec, 1),
+        is_coboundary(spec, basis_op(2, 1, 0) - basis_op(2, 1, 0)),
+    ]
+    for op in ops:
+        assert_python_scalars(op)
 
 
 # --- partial composition -----------------------------------------------
