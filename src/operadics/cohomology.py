@@ -3,10 +3,13 @@
 Given exact structure constants for a degree-2 multiplication mu on a
 d-dimensional module, the coboundary f -> [f, mu] restricts to a linear map
 from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
-This module builds those matrices on the elementary basis, computes exact
-ranks by fraction-free (Bareiss) elimination, and solves preimage problems
-by rational Gauss-Jordan elimination.  Cohomology dimensions follow the
-usual convention that nothing maps into degree 0:
+This module builds those matrices on the elementary basis as sparse columns,
+by index arithmetic on the structure constants of mu, and splits each matrix
+into independent blocks: the connected components of the graph joining a
+row to a column wherever their entry is nonzero.  Exact ranks come from
+fraction-free (Bareiss) elimination and preimages and kernels from rational
+Gauss-Jordan elimination, both run on one block at a time.  Cohomology
+dimensions follow the usual convention that nothing maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
@@ -28,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .braces import mu_squared
-from .coboundary import coboundary
 from .errors import (
     DegreeMismatchError,
     NotAssociativeError,
@@ -36,7 +38,7 @@ from .errors import (
     SizeCapError,
 )
 from .multiop import ENDO, SIZE_CAP, MultiOp, is_zero, zero_op
-from .scalars import format_exact, parse_exact
+from .scalars import format_exact, parse_exact, sign_pow
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,26 @@ class AlgebraSpec:
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """The coboundary C^n -> C^(n+1) on the elementary basis.
+    """The coboundary C^n -> C^(n+1) on the elementary basis, by columns.
 
-    entries[r][c] is the coefficient of basis element r of the target in the
-    coboundary of basis element c of the source.
+    columns[c] holds the pairs (r, value), by ascending r, of the nonzero
+    coefficients of basis element r of the target in the coboundary of basis
+    element c of the source.
     """
 
     n: int
     rows: int
     cols: int
-    entries: tuple
+    columns: tuple
+
+    @property
+    def entries(self) -> tuple:
+        """Dense view: entries[r][c] is the coefficient at row r, column c."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for c, column in enumerate(self.columns):
+            for r, value in column:
+                dense[r][c] = value
+        return tuple(map(tuple, dense))
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,8 @@ def algebra_from_json(text: str) -> AlgebraSpec:
         raise ParseError("'name' must be a string")
     if not isinstance(dim, int) or dim < 1:
         raise ParseError("'dim' must be a positive integer")
+    if dim**3 > SIZE_CAP:
+        raise ParseError(f"'mu' for this 'dim' needs more than {SIZE_CAP} scalars")
     if not isinstance(raw, list) or len(raw) != dim**3:
         raise ParseError(f"'mu' must list {dim**3} scalars for dim {dim}")
     values = [parse_exact(s) if isinstance(s, str) else _exact_int(s) for s in raw]
@@ -167,18 +181,93 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
     cols = d ** (n + 1)
     if rows > SIZE_CAP:
         raise SizeCapError(f"coboundary target needs {rows} coefficients")
+    # d e_c = [e_c, mu] = e_c . mu - s mu . e_c with s = (-1)**(n-1).  Writing
+    # o_i for the bare contraction, the Koszul slot signs are (-1)**i on
+    # e_c o_i mu and s on mu o_1 e_c, so (as s * s = 1)
+    #     d e_c = sum_i (-1)**i e_c o_i mu - s mu o_0 e_c - mu o_1 e_c.
+    # e_c has output a and inputs b = (b_0..b_(n-1)); mu[x, y, z] is x in y z.
+    by_out = [[] for _ in range(d)]  # x -> (y z as one index, value)
+    by_left = [[] for _ in range(d)]  # y -> (x, z, value)
+    by_right = [[] for _ in range(d)]  # z -> (x y as one index, value)
+    for k, value in enumerate(spec.mu.coeffs.tolist()):
+        if value:
+            x, y, z = k // (d * d), k // d % d, k % d
+            by_out[x].append((y * d + z, value))
+            by_left[y].append((x, z, value))
+            by_right[z].append((x * d + y, value))
+    s = sign_pow(n - 1)
     columns = []
     for c in range(cols):
-        image = coboundary(spec.mu, basis_op(d, n, c))
-        columns.append(image.coeffs.tolist())
-    entries = tuple(tuple(columns[c][r] for c in range(cols)) for r in range(rows))
-    return CoboundaryMatrix(n=n, rows=rows, cols=cols, entries=entries)
+        column: dict[int, object] = {}
+        for i in range(n):
+            # e_c o_i mu puts the inputs y z of mu in place of b_i
+            w = d ** (n - 1 - i)
+            head, rest = divmod(c, w * d)
+            b_i, tail = divmod(rest, w)
+            base = head * w * d * d + tail
+            for yz, value in by_out[b_i]:
+                r = base + yz * w
+                column[r] = column.get(r, 0) + sign_pow(i) * value
+        a, b = divmod(c, d**n)
+        for x, z, value in by_left[a]:  # mu o_0 e_c: rows (x, b, z)
+            r = (x * d**n + b) * d + z
+            column[r] = column.get(r, 0) - s * value
+        for xy, value in by_right[a]:  # mu o_1 e_c: rows (x, y, b)
+            r = xy * d**n + b
+            column[r] = column.get(r, 0) - value
+        columns.append(tuple(sorted((r, v) for r, v in column.items() if v)))
+    return CoboundaryMatrix(n=n, rows=rows, cols=cols, columns=tuple(columns))
 
 
-def _entry_rows(matrix) -> list[list]:
+def _sparse_columns(matrix) -> tuple[int, list]:
+    """Row count and sparse columns of a CoboundaryMatrix or of dense rows."""
     if isinstance(matrix, CoboundaryMatrix):
-        return [list(row) for row in matrix.entries]
-    return [list(row) for row in matrix]
+        return matrix.rows, matrix.columns
+    rows = [list(row) for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    columns = [
+        tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
+    ]
+    return len(rows), columns
+
+
+def _blocks(nrows: int, columns) -> list[tuple[list[int], list[int], list[list]]]:
+    """Independent blocks (columns, rows, dense entries) of a sparse matrix.
+
+    The blocks are the connected components, found by union-find, of the
+    graph joining row r to column c whenever entry (r, c) is nonzero.  Each
+    block lists its columns and rows in ascending global order and holds its
+    entries as dense rows over its own columns.  All-zero rows and columns
+    belong to no block.
+    """
+    parent = list(range(nrows + len(columns)))  # column c is node nrows + c
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c, column in enumerate(columns):
+        root = find(nrows + c)
+        for r, _ in column:
+            other = find(r)
+            if other != root:
+                parent[other] = root
+    block_cols: dict[int, list[int]] = {}
+    for c, column in enumerate(columns):
+        if column:
+            block_cols.setdefault(find(nrows + c), []).append(c)
+    out = []
+    for cols in block_cols.values():
+        rows = sorted({r for c in cols for r, _ in columns[c]})
+        at = {r: k for k, r in enumerate(rows)}
+        dense = [[0] * len(cols) for _ in rows]
+        for j, c in enumerate(cols):
+            for r, value in columns[c]:
+                dense[at[r]][j] = value
+        out.append((cols, rows, dense))
+    return out
 
 
 def _clear_denominators(rows: list[list]) -> list[list[int]]:
@@ -191,13 +280,23 @@ def _clear_denominators(rows: list[list]) -> list[list[int]]:
 
 
 def exact_rank(matrix) -> int:
-    """Rank of an exact matrix by fraction-free (Bareiss) elimination.
+    """Rank of an exact matrix: the sum of the Bareiss ranks of its blocks.
 
     Denominators are cleared per row first, so the elimination runs on
-    integers; every division in the update is exact by the Sylvester
-    identity, which the divmod below double-checks.
+    integers.
     """
-    m = _clear_denominators(_entry_rows(matrix))
+    return sum(
+        _bareiss_rank(_clear_denominators(dense))
+        for _, _, dense in _blocks(*_sparse_columns(matrix))
+    )
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every division in the update is exact by the Sylvester identity, which
+    the divmod below double-checks.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -251,40 +350,53 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def solve_linear(matrix, rhs):
-    """One exact solution x of M x = rhs, or None if inconsistent."""
-    rows = _entry_rows(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(rhs[k])] for k, row in enumerate(rows)
-    ]
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = _rref(aug)
-    for k in range(len(pivots), len(reduced)):
-        if reduced[k][-1] != 0:
+    """One exact solution x of M x = rhs, or None if inconsistent.
+
+    Free variables are 0.  Each block is reduced with its own part of rhs;
+    a nonzero rhs entry on an all-zero row has no solution.
+    """
+    nrows, columns = _sparse_columns(matrix)
+    blocks = _blocks(nrows, columns)
+    covered = {r for _, rows, _ in blocks for r in rows}
+    if any(rhs[r] != 0 for r in range(nrows) if r not in covered):
+        return None
+    x = [Fraction(0)] * len(columns)
+    for cols, rows, dense in blocks:
+        aug = [
+            [Fraction(v) for v in row] + [Fraction(rhs[r])]
+            for r, row in zip(rows, dense)
+        ]
+        reduced, pivots = _rref(aug)
+        if pivots and pivots[-1] == len(cols):  # a pivot in the rhs column
             return None
-    x = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        if col == ncols:
-            return None
-        x[col] = reduced[row_idx][-1]
+        for row, p in zip(reduced, pivots):
+            x[cols[p]] = row[-1]
     return x
 
 
 def nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the exact kernel, one vector per free column."""
-    rows = [[Fraction(x) for x in row] for row in _entry_rows(matrix)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = _rref(rows)
-    pivot_set = set(pivots)
+    """Basis of the exact kernel, one vector per free column, in column order.
+
+    The vector of free column f has 1 at f, 0 at the other free columns and
+    minus the reduced entries of column f at the pivot columns of f's block.
+    """
+    nrows, columns = _sparse_columns(matrix)
+    ncols = len(columns)
+    pivot_cols = set()
+    kernel = {}  # free column -> [(pivot column, coefficient)]
+    for cols, _, dense in _blocks(nrows, columns):
+        reduced, pivots = _rref([[Fraction(v) for v in row] for row in dense])
+        pivot_cols.update(cols[p] for p in pivots)
+        for j in set(range(len(cols))).difference(pivots):
+            kernel[cols[j]] = [(cols[p], -row[j]) for row, p in zip(reduced, pivots)]
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -reduced[row_idx][free]
+        for col, value in kernel.get(free, ()):
+            vec[col] = value
         basis.append(vec)
     return basis
 

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     VarianceMismatchError,
 )
-from .multiop import ENDO, MAX_STEPS, MultiOp, op_norm, partial_compose, sub
+from .multiop import ENDO, MAX_STEPS, SIZE_CAP, MultiOp, op_norm, partial_compose, sub
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
 
@@ -254,6 +254,9 @@ def _op_from_doc(doc, dim: int, what: str) -> MultiOp:
         raise ParseError(f"{what} is missing key {exc}") from None
     if not isinstance(degree, int) or degree < 1:
         raise ParseError(f"{what} degree must be a positive integer")
+    # bounded before dim ** (degree + 1) is computed or degree is printed
+    if degree >= SIZE_CAP or dim ** (degree + 1) > SIZE_CAP:
+        raise ParseError(f"{what} degree is too large for dim {dim} (cap {SIZE_CAP})")
     if not isinstance(coeffs, list) or len(coeffs) != dim ** (degree + 1):
         raise ParseError(
             f"{what} needs {dim ** (degree + 1)} coefficients for degree {degree}"
@@ -295,6 +298,8 @@ def load_lax_system(path) -> LaxSystem:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise ParseError("'dim' must be a positive integer")
+    if dim * dim > SIZE_CAP:
+        raise ParseError(f"'M' for this 'dim' needs more than {SIZE_CAP} coefficients")
     raw_m = doc["M"]
     if not isinstance(raw_m, list) or len(raw_m) != dim * dim:
         raise ParseError(f"'M' must list {dim * dim} coefficients")

@@ -58,6 +58,10 @@ SIZE_CAP = 65536
 MAX_STEPS = 1_000_000
 
 
+# Element types of an exact coefficient array.
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _coefficient_array(values) -> np.ndarray:
     """Coefficients of a Python sequence: float64 if it holds floats, else exact.
 
@@ -99,7 +103,10 @@ class MultiOp:
         arr = self.coeffs
         if not isinstance(arr, np.ndarray):
             arr = _coefficient_array(list(arr))
-        elif arr.dtype != np.float64 and arr.dtype != object:
+        elif arr.dtype == object:
+            if not _EXACT_TYPES.issuperset(map(type, arr.flat)):
+                arr = _coefficient_array(list(arr.flat))
+        elif arr.dtype != np.float64:
             if np.issubdtype(arr.dtype, np.integer):
                 arr = arr.astype(object)
             elif np.issubdtype(arr.dtype, np.floating):

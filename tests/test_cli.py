@@ -294,6 +294,44 @@ def test_step_cap_is_a_config_error(tmp_path):
         assert_one_line_error(run_cli(*args, timeout=30), 2)
 
 
+def test_huge_degree_in_operation_file_is_a_parse_error(tmp_path):
+    # dim ** (degree + 1) at this degree would not finish; the short timeout
+    # bounds a missing check
+    huge = {"degree": 10**4000, "coeffs": [0.0] * 8}
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(huge))
+    system = _lax_file(tmp_path, L0=huge)
+    for args in (
+        ("oscillator", "--degree", "2", "--l-init", str(init)),
+        ("lax", "--system", system),
+    ):
+        assert_one_line_error(run_cli(*args, timeout=30), 4)
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (("cohomology", "--algebra"), {"name": "x", "dim": 10**4000, "mu": ["1"]}),
+        (
+            ("lax", "--system"),
+            {
+                "dim": 10**4000,
+                "M": [0.0],
+                "L0": {"degree": 1, "coeffs": [0.0]},
+                "dt": 0.1,
+                "t_end": 1.0,
+            },
+        ),
+    ],
+    ids=["cohomology", "lax"],
+)
+def test_huge_dim_in_input_file_is_a_parse_error(tmp_path, args, doc):
+    # dim**3 and dim*dim have more than the 4300 digits Python prints
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert_one_line_error(run_cli(*args, str(path), timeout=30), 4)
+
+
 def test_lax_out_file_matches_stdout(tmp_path):
     out = tmp_path / "run.csv"
     args = ("lax", "--system", str(bundled_path("lax_deg1.json")), "--t-end", "0.01")
@@ -468,6 +506,42 @@ PINNED = [
         ("cohomology", "--algebra", "mat2.json", "--format", "machine"),
         0,
         "168c1919a0ee0a42aba20e80c3a6952a087d6125595eca94720474ecedd7acc3",
+    ),
+    (
+        ("cohomology", "--algebra", "dual_numbers.json", "--max-degree", "8"),
+        0,
+        "fc25b1bb4ea2bb2970602ccb25b3ae7baaedfd15d0d3781c7a4a1a5e730e5c33",
+    ),
+    (
+        (
+            "cohomology",
+            "--algebra",
+            "dual_numbers.json",
+            "--max-degree",
+            "8",
+            "--format",
+            "machine",
+        ),
+        0,
+        "2fb47a3a6b7466b3398be41dd112596344ef16a5b58bdfee86af209c7635d4ad",
+    ),
+    (
+        ("cohomology", "--algebra", "mat2.json", "--max-degree", "3"),
+        0,
+        "dd5d6a40ce7ba2b99e84961aa0d75d87366b2ac12a61b54a985385d4f4519099",
+    ),
+    (
+        (
+            "cohomology",
+            "--algebra",
+            "mat2.json",
+            "--max-degree",
+            "3",
+            "--format",
+            "machine",
+        ),
+        0,
+        "3550cca0e3f738600c2fe08bf74555e3611ba0c4a2a624e9113c621987b5f714",
     ),
 ]
 

@@ -11,6 +11,7 @@ inner, dimension counts 16 - 13 = 3 = kernel of the next map).
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,87 @@ def rank_oracle(matrix):
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def rref_oracle(matrix):
+    """Dense Gauss-Jordan reduction over Fraction: (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col]:
+                factor = rows[k][col]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def nullspace_oracle(matrix):
+    """Kernel basis from the dense reduction, one vector per free column."""
+    reduced, pivots = rref_oracle(matrix)
+    ncols = len(reduced[0]) if reduced else 0
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def solve_oracle(matrix, rhs):
+    """The solution with free variables 0, from the dense reduction, or None."""
+    ncols = len(matrix[0])
+    reduced, pivots = rref_oracle([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        x[col] = row[-1]
+    return x
+
+
+def hidden_block_matrix(rng):
+    """A block-diagonal Fraction matrix with zero rows and columns, permuted.
+
+    Some blocks are rank deficient: one row is a combination of the others,
+    or one column is a multiple of another.
+    """
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        h, w = rng.randint(1, 4), rng.randint(1, 4)
+        block = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(w)]
+            for _ in range(h)
+        ]
+        if h > 1 and rng.random() < 0.4:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            block[-1] = [a * x + b * y for x, y in zip(block[0], block[1 % (h - 1)])]
+        if w > 1 and rng.random() < 0.4:
+            k = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            for row in block:
+                row[-1] = k * row[0]
+        blocks.append(block)
+    nrows = sum(len(b) for b in blocks) + rng.randint(0, 2)
+    ncols = sum(len(b[0]) for b in blocks) + rng.randint(0, 2)
+    dense = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, value in enumerate(row):
+                dense[r0 + i][c0 + j] = value
+        r0, c0 = r0 + len(block), c0 + len(block[0])
+    row_order = rng.sample(range(nrows), nrows)
+    col_order = rng.sample(range(ncols), ncols)
+    return [[dense[r][c] for c in col_order] for r in row_order]
 
 
 def _nonassociative_spec():
@@ -129,6 +211,51 @@ def test_solve_and_nullspace_roundtrip():
         assert all(v == 0 for v in image)
 
 
+def test_block_solvers_match_dense_reduction():
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = hidden_block_matrix(rng)
+        assert exact_rank(m) == rank_oracle(m), f"seed {seed}"
+        assert nullspace(m) == nullspace_oracle(m), f"seed {seed}"
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m[0]]
+        rhs = [sum(a * b for a, b in zip(row, x0)) for row in m]
+        x = solve_linear(m, rhs)
+        assert x == solve_oracle(m, rhs), f"seed {seed}"
+        assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
+        # any right-hand side: the same solution, or None on both sides
+        other = [rng.randint(-2, 2) for _ in m]
+        assert solve_linear(m, other) == solve_oracle(m, other), f"seed {seed}"
+        # a nonzero right-hand side on an all-zero row has no solution
+        zero_rows = [r for r, row in enumerate(m) if not any(row)]
+        if zero_rows:
+            bad = list(rhs)
+            bad[rng.choice(zero_rows)] = Fraction(1, 3)
+            assert solve_linear(m, bad) is None, f"seed {seed}"
+            assert solve_oracle(m, bad) is None
+
+
+def test_block_solve_rejects_inconsistent_block():
+    # blocks {row 0, col 1} and {rows 1-2, cols 0 and 3}; rows (2, 4) and (1, 2)
+    # of the second make the right-hand side (3, 1) inconsistent
+    m = [[0, 1, 0, 0], [2, 0, 0, 4], [1, 0, 0, 2], [0, 0, 0, 0]]
+    assert solve_linear(m, [5, 3, 1, 0]) is None
+    assert solve_linear(m, [5, 2, 1, 0]) == [Fraction(1), Fraction(5), 0, 0]
+    assert nullspace(m) == nullspace_oracle(m) == [[0, 0, 1, 0], [-2, 0, 0, 1]]
+
+
+def test_block_solvers_on_coboundary_matrices():
+    for name, n_max in (("dual_numbers.json", 5), ("mat2.json", 1)):
+        spec = load_algebra(bundled_path(name))
+        rng = random.Random(name)
+        for n in range(n_max + 1):
+            mat = coboundary_matrix(spec, n)
+            dense = mat.entries
+            assert exact_rank(mat) == rank_oracle(dense)
+            assert nullspace(mat) == nullspace_oracle(dense)
+            target = [rng.randint(-2, 2) for _ in range(mat.rows)]
+            assert solve_linear(mat, target) == solve_oracle(dense, target)
+
+
 # --- algebra files --------------------------------------------------------
 
 
@@ -186,13 +313,25 @@ def test_one_dimensional_coboundary_matrices_frozen():
 
 
 def test_matrix_columns_are_coboundaries_of_basis_ops():
-    spec = load_algebra(bundled_path("dual_numbers.json"))
-    n = 1
-    mat = coboundary_matrix(spec, n)
-    for col in range(mat.cols):
-        image = coboundary(spec.mu, basis_op(spec.dim, n, col))
-        column = [row[col] for row in mat.entries]
-        assert column == image.coeffs.tolist()
+    # every degree up to 1024 rows, and a non-associative mu
+    cases = [
+        (load_algebra(bundled_path(name)), n_max)
+        for name, n_max in (
+            ("field.json", 10),
+            ("dual_numbers.json", 8),
+            ("mat2.json", 3),
+        )
+    ]
+    cases.append((_nonassociative_spec(), 4))
+    for spec, n_max in cases:
+        for n in range(n_max + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                mat = coboundary_matrix(spec, n)
+            for col in range(mat.cols):
+                image = coboundary(spec.mu, basis_op(spec.dim, n, col)).coeffs
+                want = tuple((r, v) for r, v in enumerate(image.tolist()) if v)
+                assert mat.columns[col] == want, (spec.name, n, col)
 
 
 def test_nonassociative_matrix_warns_but_computes():
@@ -228,6 +367,18 @@ def test_betti_table_mat2_frozen():
     assert table.dims == (4, 16, 64)
     assert table.ranks == (3, 13, 51)
     assert table.betti == (1, 0, 0)
+
+
+def test_betti_tables_match_hochschild_at_larger_degree():
+    # Hochschild 1945: a field and the separable M2(Q) have HH^n = 0 for
+    # n >= 1; Q[x]/(x^2) in characteristic 0 keeps one class per degree.
+    for name, n_max, want in (
+        ("field.json", 10, (1,) + (0,) * 10),
+        ("mat2.json", 3, (1, 0, 0, 0)),
+        ("dual_numbers.json", 8, (2,) + (1,) * 8),
+    ):
+        table = betti_table(load_algebra(bundled_path(name)), n_max)
+        assert table.betti == want, name
 
 
 def test_default_n_max_policy():

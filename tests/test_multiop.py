@@ -292,6 +292,15 @@ def test_numpy_integers_do_not_wrap():
     assert_python_scalars(listed)
     assert scale(4, listed) == out
     assert add(listed, listed) == 2**63 * one
+    # an object array from the caller is normalised the same way
+    boxed = MultiOp(1, 1, ENDO, np.array([np.int64(2**62)], dtype=object))
+    assert_python_scalars(boxed)
+    assert scale(4, boxed) == out
+    assert add(boxed, boxed) == 2**63 * one
+    entries = np.array([[np.int32(3), 1], [Fraction(1, 2), 0]], dtype=object)
+    mixed = MultiOp(2, 1, ENDO, entries)
+    assert_python_scalars(mixed)
+    assert mixed.coeffs.tolist() == [3, 1, Fraction(1, 2), 0]
 
 
 def test_exact_constructors_build_python_scalars():
