@@ -46,14 +46,12 @@ from .cohomology import (
     load_algebra,
     nullspace,
     random_cocycle,
-    save_algebra,
     solve_linear,
 )
 from .dynamics import (
     LaxSystem,
     TrajectorySample,
     conjugation_oracle,
-    evolution_rhs,
     integrate,
     lax_rhs,
     load_initial_op,
@@ -89,7 +87,6 @@ from .multiop import (
     add,
     allclose,
     apply,
-    flat_index,
     identity_op,
     is_zero,
     max_abs_diff,
@@ -108,7 +105,6 @@ from .oscillator import (
     classical_lax_time_derivative,
     exact_flow,
     hamiltonian,
-    lax_residual_classical,
     m_matrix,
     monodromy_report,
     oscillator_system,

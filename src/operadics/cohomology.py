@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,12 @@ from .errors import (
 from .multiop import ENDO, SIZE_CAP, MultiOp, is_zero, zero_op
 from .scalars import format_exact, parse_exact, sign_pow
 
+# Hard cap on the insertions of mu in one Betti table, the sum over degrees
+# of columns * (n + 2).  This is the total of the largest table SIZE_CAP
+# admits for dim >= 2 (dim 2 to n = 14); it bounds dim 1, where SIZE_CAP
+# never trips.
+WORK_CAP = 983040
+
 
 @dataclass(frozen=True)
 class AlgebraSpec:
@@ -53,8 +60,13 @@ class AlgebraSpec:
     def from_structure_constants(cls, name: str, dim: int, values) -> "AlgebraSpec":
         return cls(name, dim, MultiOp(dim, 2, ENDO, _exact_array(values)))
 
+    @cached_property
+    def associator(self) -> MultiOp:
+        """mu.mu, computed once per spec: zero exactly when mu is associative."""
+        return mu_squared(self.mu)
+
     def is_associative(self) -> bool:
-        return is_zero(mu_squared(self.mu))
+        return is_zero(self.associator)
 
 
 @dataclass(frozen=True)
@@ -153,10 +165,6 @@ def load_algebra(path) -> AlgebraSpec:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return algebra_from_json(text)
-
-
-def save_algebra(spec: AlgebraSpec, path) -> None:
-    Path(path).write_text(algebra_to_json(spec))
 
 
 def basis_op(dim: int, degree: int, index: int, variance: str = ENDO) -> MultiOp:
@@ -411,12 +419,31 @@ def default_n_max(dim: int) -> int:
 
 
 def _require_associative(spec: AlgebraSpec):
-    square = mu_squared(spec.mu)
-    if not is_zero(square):
+    if not spec.is_associative():
         raise NotAssociativeError(
             f"mu of {spec.name!r} is not associative: "
-            f"{np.count_nonzero(square.coeffs)} coefficients of mu.mu are nonzero"
+            f"{np.count_nonzero(spec.associator.coeffs)} coefficients of mu.mu "
+            "are nonzero"
         )
+
+
+def _check_table_size(dim: int, n_max: int):
+    """Bound a Betti table's largest matrix and its total insertions.
+
+    Each of the dim**(n+1) columns of degree n takes n + 2 insertions of mu.
+    The sum is checked with an early exit, so a huge n_max costs nothing.
+    """
+    work = 0
+    for n in range(n_max + 1):
+        if dim ** (n + 2) > SIZE_CAP:
+            raise SizeCapError(
+                f"dim {dim} with n_max {n_max} exceeds the coefficient cap"
+            )
+        work += dim ** (n + 1) * (n + 2)
+        if work > WORK_CAP:
+            raise SizeCapError(
+                f"dim {dim} with n_max {n_max} needs more than {WORK_CAP} insertions"
+            )
 
 
 def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
@@ -426,10 +453,7 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
         n_max = default_n_max(spec.dim)
     if n_max < 0:
         raise DegreeMismatchError(f"n_max must be >= 0, got {n_max}")
-    if spec.dim ** (n_max + 2) > SIZE_CAP:
-        raise SizeCapError(
-            f"dim {spec.dim} with n_max {n_max} exceeds the coefficient cap"
-        )
+    _check_table_size(spec.dim, n_max)
     dims = []
     ranks = []
     kernels = []

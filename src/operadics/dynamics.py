@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .braces import bracket, mu_squared, total_compose
+from .braces import mu_squared, total_compose
 from .errors import (
     ConfigError,
     DegreeMismatchError,
@@ -45,11 +45,6 @@ def lax_rhs(m: MultiOp, l: MultiOp) -> MultiOp:
     if m.degree != 1:
         raise DegreeMismatchError(f"Lax generator must have degree 1, got {m.degree}")
     return sub(total_compose(m, l), total_compose(l, m))
-
-
-def evolution_rhs(h_op: MultiOp, f: MultiOp) -> MultiOp:
-    """df/dt = [H, f] for a generator of any degree (full Koszul sign)."""
-    return bracket(h_op, f)
 
 
 def monitor_trace_power(l: MultiOp, k: int) -> float:

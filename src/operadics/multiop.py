@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,12 +80,17 @@ def _coefficient_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MultiOp:
-    """Immutable degree-n multilinear operation over a d-dimensional module."""
+    """Immutable degree-n multilinear operation over a d-dimensional module.
+
+    ``backend`` is EXACT for object coefficients and FLOAT for float64; it is
+    set once, when the op is made.
+    """
 
     dim: int
     degree: int
     variance: str
     coeffs: np.ndarray
+    backend: str = field(init=False)
 
     def __post_init__(self):
         if self.variance not in VARIANCES:
@@ -122,26 +127,26 @@ class MultiOp:
         if arr.base is not None or arr is self.coeffs:
             arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        backend = EXACT if arr.dtype.hasobject else FLOAT
+        self.__dict__.update(coeffs=arr, backend=backend)
 
     @classmethod
     def _wrap(cls, dim, degree, variance, arr):
-        """Fast internal constructor for arrays we already own."""
+        """Fast internal constructor for object or float64 arrays we already own."""
         op = cls.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "degree", degree)
-        object.__setattr__(op, "variance", variance)
         arr.setflags(write=False)
-        object.__setattr__(op, "coeffs", arr)
+        op.__dict__.update(
+            dim=dim,
+            degree=degree,
+            variance=variance,
+            coeffs=arr,
+            backend=EXACT if arr.dtype.hasobject else FLOAT,
+        )
         return op
 
     @property
     def reduced_degree(self) -> int:
         return self.degree - 1
-
-    @property
-    def backend(self) -> str:
-        return FLOAT if self.coeffs.dtype == np.float64 else EXACT
 
     def __eq__(self, other):
         if not isinstance(other, MultiOp):
@@ -190,16 +195,6 @@ def _check_pair(f: MultiOp, g: MultiOp):
     if f.variance != g.variance:
         raise VarianceMismatchError(f"{f.variance} vs {g.variance}")
     _common_backend(f, g)
-
-
-def flat_index(dim: int, degree: int, primary: int, secondary: Sequence[int]) -> int:
-    """Flat position of the coefficient with the given index tuple."""
-    if len(secondary) != degree:
-        raise ArityMismatchError(f"need {degree} secondary indices")
-    out = primary
-    for b in secondary:
-        out = out * dim + b
-    return out
 
 
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
@@ -290,12 +285,13 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
         raise SizeCapError(
             f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
         )
-    f4 = f.coeffs.reshape(d, d**i, d, d ** (m - 1 - i))
-    g2 = g.coeffs.reshape(d, d**n)
-    out = np.tensordot(f4, g2, axes=([2], [0]))
-    out = np.ascontiguousarray(out.transpose(0, 1, 3, 2)).reshape(size)
-    if sign_pow(i * g.reduced_degree) < 0:
-        out = -out
+    # (a b1..bi, b(i+2)..bm, slot) @ (slot, g's inputs), then move g's inputs
+    # in front of the trailing slots of f
+    left = f.coeffs.reshape(d ** (i + 1), d, d ** (m - 1 - i)).transpose(0, 2, 1)
+    out = np.matmul(left, g.coeffs.reshape(d, d**n))
+    out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(size)
+    if sign_pow(i * (n - 1)) < 0:
+        np.negative(out, out=out)
     return MultiOp._wrap(d, m + n - 1, f.variance, out)
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LaxSystem, conjugation_oracle, lax_rhs
+from .dynamics import LaxSystem, conjugation_oracle
 from .errors import ConfigError, DegreeMismatchError, DimMismatchError
-from .multiop import ENDO, MultiOp, max_abs_diff, op_norm, sub
+from .multiop import ENDO, MultiOp, max_abs_diff
 
 
 def classical_lax(q: float, p: float, omega: float) -> MultiOp:
@@ -112,13 +112,6 @@ def classical_lax_time_derivative(params: OscillatorParams, t: float) -> MultiOp
     dp = -(w * w) * q
     dq_w = w * p
     return MultiOp(2, 1, ENDO, np.array([dp, dq_w, dq_w, -dp], dtype=np.float64))
-
-
-def lax_residual_classical(params: OscillatorParams, t: float) -> float:
-    """Norm of dL/dt - (ML - LM) along the exact trajectory (analytically 0)."""
-    q, p = exact_flow(params, t)
-    rhs = lax_rhs(m_matrix(params.omega), classical_lax(q, p, params.omega))
-    return float(op_norm(sub(classical_lax_time_derivative(params, t), rhs)))
 
 
 def transport_solution(params: OscillatorParams, t: float) -> MultiOp:

@@ -28,6 +28,7 @@ from operadics.dynamics import (
     LaxSystem,
     conjugation_oracle,
     integrate,
+    lax_rhs,
     monitor_trace_power,
 )
 from operadics.multiop import (
@@ -36,6 +37,7 @@ from operadics.multiop import (
     FLOAT,
     MultiOp,
     max_abs_diff,
+    op_norm,
     random_op,
     scale,
     sub,
@@ -43,8 +45,9 @@ from operadics.multiop import (
 from operadics.oscillator import (
     OscillatorParams,
     classical_lax,
+    classical_lax_time_derivative,
+    exact_flow,
     hamiltonian,
-    lax_residual_classical,
     m_matrix,
     oscillator_system,
     transport_solution,
@@ -159,8 +162,13 @@ def test_criterion_5_classical_oscillator():
         assert abs(monitor_trace_power(s.l, 2) - 8.0) <= 1e-8, (
             f"trace drift at t={s.t}"
         )
+    m = m_matrix(2.0)
     for t in np.linspace(0.0, 10.0, 1001):
-        assert lax_residual_classical(params, float(t)) <= 1e-12
+        # dL/dt = ML - LM along the exact trajectory
+        q, p = exact_flow(params, float(t))
+        rhs = lax_rhs(m, classical_lax(q, p, 2.0))
+        dl = classical_lax_time_derivative(params, float(t))
+        assert float(op_norm(sub(dl, rhs))) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oscillator run took {elapsed:.1f}s"
 

@@ -23,8 +23,15 @@ from operadics.braces import (
     total_compose,
     tribrace,
 )
-from operadics.errors import DegreeMismatchError, DegreeUnderflowError
+from operadics.errors import (
+    BackendMismatchError,
+    DegreeMismatchError,
+    DegreeUnderflowError,
+    DimMismatchError,
+    VarianceMismatchError,
+)
 from operadics.multiop import (
+    COENDO,
     ENDO,
     FLOAT,
     MultiOp,
@@ -254,6 +261,24 @@ def test_brace_computes_no_dead_insertions(monkeypatch):
     one = _scalar(1, 1)
     assert brace(_scalar(1, 4), one, one, one).coeffs[0] == 4
     assert len(calls) == 2 + 3 + 4
+
+
+def test_brace_rejects_mismatched_operands():
+    rng = random.Random(12)
+    h = random_op(rng, 2, 3, ENDO)
+    g = random_op(rng, 2, 1, ENDO)
+    bad = [
+        (random_op(rng, 2, 1, ENDO, FLOAT), BackendMismatchError),
+        (random_op(rng, 3, 1, ENDO), DimMismatchError),
+        (random_op(rng, 2, 1, COENDO), VarianceMismatchError),
+    ]
+    for other, error in bad:
+        with pytest.raises(error):
+            brace(h, other)
+        with pytest.raises(error):
+            brace(h, g, other)
+        with pytest.raises(error):
+            brace(h, other, g)
 
 
 def test_named_braces_equal_the_kernel_on_floats():

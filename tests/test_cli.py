@@ -185,6 +185,20 @@ def test_cohomology_table_stays_aligned_past_degree_nine():
     assert len({len(line) for line in lines}) == 1
 
 
+@pytest.mark.parametrize("max_degree", ["10000", "1000000000"])
+def test_cohomology_work_cap_is_a_size_error(max_degree):
+    # dim 1 never meets the coefficient cap; the insertion count bounds it
+    r = run_cli(
+        "cohomology",
+        "--algebra",
+        str(bundled_path("field.json")),
+        "--max-degree",
+        max_degree,
+        timeout=30,
+    )
+    assert_one_line_error(r, 2)
+
+
 def test_cohomology_rejects_float_backend():
     r = run_cli(
         "cohomology",

@@ -17,9 +17,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from operadics import cohomology
 from operadics.bundled import bundled_path
 from operadics.coboundary import coboundary
 from operadics.cohomology import (
+    WORK_CAP,
     AlgebraSpec,
     algebra_from_json,
     algebra_to_json,
@@ -39,6 +41,7 @@ from operadics.errors import (
     DegreeMismatchError,
     NotAssociativeError,
     ParseError,
+    SizeCapError,
 )
 from operadics.multiop import ENDO, MultiOp, is_zero
 
@@ -392,6 +395,43 @@ def test_default_n_max_policy():
 def test_betti_table_requires_associativity():
     with pytest.raises(NotAssociativeError):
         betti_table(_nonassociative_spec())
+
+
+def test_associator_is_computed_once_per_spec(monkeypatch):
+    calls = []
+    original = cohomology.mu_squared
+
+    def counting(mu):
+        calls.append(mu)
+        return original(mu)
+
+    monkeypatch.setattr(cohomology, "mu_squared", counting)
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    betti_table(spec, 3)
+    is_coboundary(spec, basis_op(2, 2, 0))
+    cocycle_basis(spec, 1)
+    coboundary_matrix(spec, 2)
+    assert len(calls) == 1
+    bad = _nonassociative_spec()
+    for _ in range(2):
+        with pytest.raises(NotAssociativeError):
+            betti_table(bad)
+    with pytest.warns(UserWarning):
+        coboundary_matrix(bad, 1)
+    assert len(calls) == 2
+
+
+def test_work_cap_bounds_dim_one_and_admits_every_size_capped_table():
+    # the largest table the coefficient cap admits, dim 2 to degree 14
+    assert sum(2 ** (n + 1) * (n + 2) for n in range(15)) == WORK_CAP
+    field = load_algebra(bundled_path("field.json"))
+    # dim 1 to degree n_max makes (n_max + 1) * (n_max + 4) / 2 insertions
+    assert 1400 * 1403 // 2 <= WORK_CAP < 1401 * 1404 // 2
+    for n_max in (1400, 10**9, 10**18):
+        with pytest.raises(SizeCapError, match="insertions"):
+            betti_table(field, n_max)
+    with pytest.raises(SizeCapError, match="coefficient cap"):
+        betti_table(load_algebra(bundled_path("dual_numbers.json")), 10**18)
 
 
 def test_image_sits_inside_kernel():

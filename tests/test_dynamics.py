@@ -14,7 +14,6 @@ from operadics.dynamics import (
     LaxSystem,
     conjugation_oracle,
     evaluate_observer,
-    evolution_rhs,
     integrate,
     lax_rhs,
     load_initial_op,
@@ -24,7 +23,6 @@ from operadics.dynamics import (
     monitor_trace_power,
 )
 from operadics.bundled import bundled_path
-from operadics.braces import bracket
 from operadics.errors import (
     ConfigError,
     DegreeMismatchError,
@@ -90,13 +88,6 @@ def test_lax_rhs_requires_degree_one_generator():
     rng = random.Random(2)
     with pytest.raises(DegreeMismatchError):
         lax_rhs(random_op(rng, 2, 2, ENDO, FLOAT), random_op(rng, 2, 1, ENDO, FLOAT))
-
-
-def test_evolution_rhs_is_the_bracket():
-    rng = random.Random(3)
-    h = random_op(rng, 2, 2, ENDO, FLOAT)
-    f = random_op(rng, 2, 1, ENDO, FLOAT)
-    assert evolution_rhs(h, f) == bracket(h, f)
 
 
 # --- observers ---------------------------------------------------------------

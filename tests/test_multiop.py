@@ -1,7 +1,7 @@
 """Storage layer and partial composition, checked against loop-based oracles.
 
 The composition oracle below contracts coefficient tensors with plain nested
-loops over index tuples, so it shares no code path with the tensordot kernel
+loops over index tuples, so it shares no code path with the matmul kernel
 it is checking.
 """
 
@@ -36,7 +36,6 @@ from operadics.multiop import (
     add,
     allclose,
     apply,
-    flat_index,
     identity_op,
     is_zero,
     max_abs_diff,
@@ -89,18 +88,40 @@ def compose_oracle(f, g, slot):
     return MultiOp(d, m + n - 1, f.variance, sign * out)
 
 
-def _rand_pair(seed):
+def _fraction_op(rng, dim, degree, variance):
+    size = dim ** (degree + 1)
+    values = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(size)]
+    return MultiOp(dim, degree, variance, values)
+
+
+def _rand_pair(seed, kind="int"):
+    """Random f, g and a slot of f; kind is "int", "float" or "fraction"."""
     rng = random.Random(seed)
     d = rng.randint(1, 3)
     deg_f = rng.randint(1, 3)
     deg_g = rng.randint(0, 3)
     variance = rng.choice([ENDO, COENDO])
-    f = random_op(rng, d, deg_f, variance)
-    g = random_op(rng, d, deg_g, variance)
+    if kind == "fraction":
+        f = _fraction_op(rng, d, deg_f, variance)
+        g = _fraction_op(rng, d, deg_g, variance)
+    else:
+        backend = FLOAT if kind == "float" else EXACT
+        f = random_op(rng, d, deg_f, variance, backend)
+        g = random_op(rng, d, deg_g, variance, backend)
     return f, g, rng.randrange(deg_f)
 
 
 # --- layout ------------------------------------------------------------
+
+
+def flat_index(dim, degree, primary, secondary):
+    """Flat position of the coefficient with the given index tuple."""
+    if len(secondary) != degree:
+        raise ArityMismatchError(f"need {degree} secondary indices")
+    out = primary
+    for b in secondary:
+        out = out * dim + b
+    return out
 
 
 @given(
@@ -341,12 +362,47 @@ def test_scalar_composition_signs_frozen():
 
 
 def test_partial_compose_matches_loop_oracle():
-    for seed in range(300):
-        f, g, i = _rand_pair(seed)
-        got = partial_compose(f, g, i)
-        want = compose_oracle(f, g, i)
-        assert got.degree == want.degree
-        assert got.coeffs.tolist() == want.coeffs.tolist(), f"seed {seed}"
+    for kind in ("int", "fraction", "float"):
+        for seed in range(300):
+            f, g, i = _rand_pair(seed, kind)
+            got = partial_compose(f, g, i)
+            want = compose_oracle(f, g, i)
+            assert got.degree == want.degree
+            assert got.backend == want.backend == f.backend
+            if kind == "float":
+                # the kernel may sum in another order: relative 1e-14
+                top = max(1.0, float(np.abs(want.coeffs).max()))
+                err = float(np.abs(got.coeffs - want.coeffs).max())
+                assert err <= 1e-14 * top, seed
+            else:
+                assert_python_scalars(got)
+                assert got.coeffs.tolist() == want.coeffs.tolist(), seed
+
+
+def test_backend_is_set_on_every_construction_path():
+    rng = random.Random(11)
+    cases = [
+        (MultiOp(2, 0, ENDO, [0.5, 1.0]), FLOAT),
+        (MultiOp(2, 0, ENDO, [1, 2]), EXACT),
+        (MultiOp(2, 0, ENDO, [Fraction(1, 2), 1]), EXACT),
+        (MultiOp(2, 0, ENDO, np.array([1, 2], dtype=np.int64)), EXACT),
+        (MultiOp(2, 0, ENDO, np.array([0.5, 2.0], dtype=object)), FLOAT),
+    ]
+    for backend in (EXACT, FLOAT):
+        f = random_op(rng, 2, 2, ENDO, backend)
+        g = random_op(rng, 2, 1, ENDO, backend)
+        cases += [
+            (f, backend),
+            (add(f, f), backend),
+            (scale(3, f), backend),
+            (partial_compose(f, g, 1), backend),
+            (partial_compose(g, f, 0), backend),
+        ]
+    cases.append((scale(Fraction(1, 3), MultiOp(1, 1, ENDO, [3])), EXACT))
+    for k, (op, backend) in enumerate(cases):
+        assert op.backend == backend, k
+        want_dtype = np.float64 if backend == FLOAT else object
+        assert op.coeffs.dtype == want_dtype, k
 
 
 def test_endo_and_coendo_composition_share_coefficients():
