@@ -50,15 +50,14 @@ from .cohomology import (
 )
 from .dynamics import (
     LaxSystem,
-    TrajectorySample,
+    Trajectory,
     conjugation_oracle,
+    evaluate_observer,
     integrate,
     lax_rhs,
     load_initial_op,
     load_lax_system,
     matrix_exp,
-    monitor_associator,
-    monitor_trace_power,
 )
 from .errors import (
     ArityMismatchError,
@@ -81,6 +80,7 @@ from .multiop import (
     ENDO,
     EXACT,
     FLOAT,
+    MAX_CELLS,
     MAX_STEPS,
     SIZE_CAP,
     MultiOp,

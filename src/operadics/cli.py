@@ -21,6 +21,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .cohomology import betti_table, load_algebra
 from .dynamics import integrate, load_initial_op, load_lax_system
 from .errors import (
@@ -128,12 +130,11 @@ def _machine(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(columns, rows, footer_lines=()) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    lines.extend(footer_lines)
-    return "\n".join(lines) + "\n"
+def _csv(columns, table, footer_lines=()) -> str:
+    # "%.17g" % v has the bytes of format_float(v), nan, inf and -0 included
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns), *(row % r for r in map(tuple, table.tolist()))]
+    return "\n".join([*lines, *footer_lines]) + "\n"
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -232,17 +233,15 @@ def _cmd_lax(args) -> tuple[int, str]:
             dt=args.dt if args.dt is not None else system.dt,
             t_end=args.t_end if args.t_end is not None else system.t_end,
         )
-    samples = integrate(system)
-    size = system.l0.coeffs.size
-    columns = ["t", *system.observe, *(f"L{k}" for k in range(size))]
-    rows = [
-        [s.t, *(s.invariants[name] for name in system.observe), *map(float, s.l.coeffs)]
-        for s in samples
-    ]
+    traj = integrate(system)
+    columns = ["t", *system.observe, *(f"L{k}" for k in range(traj.coeffs.shape[1]))]
+    table = np.column_stack(
+        [traj.t, *(traj.invariants[name] for name in system.observe), traj.coeffs]
+    )
     if args.format == "machine":
-        doc = {"command": "lax", "columns": columns, "rows": rows}
+        doc = {"command": "lax", "columns": columns, "rows": table.tolist()}
         return (EXIT_OK, _machine(doc))
-    return (EXIT_OK, _csv(columns, rows))
+    return (EXIT_OK, _csv(columns, table))
 
 
 def _cmd_oscillator(args) -> tuple[int, str]:
@@ -262,25 +261,25 @@ def _cmd_oscillator(args) -> tuple[int, str]:
         l_init=l_init,
     )
     system = oscillator_system(params, args.dt, args.t_end)
-    samples = integrate(system)
-    size = system.l0.coeffs.size
+    traj = integrate(system)
+    size = traj.coeffs.shape[1]
     columns = ["t", "q", "p", "H", *system.observe, *(f"L{k}" for k in range(size))]
-    rows = [
+    q, p = traj.state.T
+    table = np.column_stack(
         [
-            s.t,
-            *s.state,
-            hamiltonian(*s.state, params.omega),
-            *(s.invariants[name] for name in system.observe),
-            *map(float, s.l.coeffs),
+            traj.t,
+            traj.state,
+            hamiltonian(q, p, params.omega),
+            *(traj.invariants[name] for name in system.observe),
+            traj.coeffs,
         ]
-        for s in samples
-    ]
+    )
     report = monodromy_report(params)
     if args.format == "machine":
         doc = {
             "command": "oscillator",
             "columns": columns,
-            "rows": rows,
+            "rows": table.tolist(),
             "monodromy": {
                 "degree": report.degree,
                 "period": report.period,
@@ -294,7 +293,7 @@ def _cmd_oscillator(args) -> tuple[int, str]:
         f"defect={format_float(report.defect)} "
         f"periodic={'true' if report.periodic else 'false'}",
     )
-    return (EXIT_OK, _csv(columns, rows, footer))
+    return (EXIT_OK, _csv(columns, table, footer))
 
 
 _HANDLERS = {

@@ -5,25 +5,25 @@ the generator is a degree-1 operation M (reduced degree 0) every Koszul sign
 collapses and the equation becomes the Lax form dL/dt = M.L - L.M.  This
 module provides the right-hand sides, a fixed-step RK4 integrator for the
 coupled (classical state, L) system, a closed-form conjugation oracle for
-constant M, and the invariant monitors used to check isospectrality.
+constant M, and the invariant observers used to check isospectrality.
 
-The integrator works on the float backend throughout.  Since the Lax
-right-hand side is linear in L, it is applied as a precomputed matrix on the
-coefficient vector; the matrix is built once per run from the same partial
-compositions, so the result is deterministic.
+The integrator works on the float backend throughout.  The Lax right-hand
+side is linear in L and the classical state follows a constant linear field,
+so the whole right-hand side is one matrix on a sample row (state, L),
+built once per run by index arithmetic on M.  A run fills one preallocated
+array, a row per sample, and each observer then runs once over all rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .braces import mu_squared, total_compose
+from .braces import total_compose
 from .errors import (
     ConfigError,
     DegreeMismatchError,
@@ -32,7 +32,15 @@ from .errors import (
     ParseError,
     VarianceMismatchError,
 )
-from .multiop import ENDO, MAX_STEPS, SIZE_CAP, MultiOp, op_norm, partial_compose, sub
+from .multiop import (
+    ENDO,
+    MAX_CELLS,
+    MAX_STEPS,
+    SIZE_CAP,
+    MultiOp,
+    partial_compose,
+    sub,
+)
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
 
@@ -47,37 +55,58 @@ def lax_rhs(m: MultiOp, l: MultiOp) -> MultiOp:
     return sub(total_compose(m, l), total_compose(l, m))
 
 
-def monitor_trace_power(l: MultiOp, k: int) -> float:
-    """Trace of the k-th matrix power of a degree-1 operation."""
-    if l.degree != 1:
-        raise DegreeMismatchError("trace powers need a degree-1 operation")
-    mat = np.asarray(l.coeffs, dtype=np.float64).reshape(l.dim, l.dim)
-    return float(np.trace(np.linalg.matrix_power(mat, k)))
+# Degree of L each observer needs; norm takes any degree.
+_OBSERVER_DEGREE = {"trace1": 1, "trace2": 1, "trace3": 1, "assoc_defect": 2}
+
+# Coefficients in one block of stacked associators, which bounds the
+# temporaries of assoc_defect however many samples a run keeps.
+_ASSOC_BLOCK = 1 << 20
 
 
-def monitor_associator(l: MultiOp) -> float:
-    """Norm of the associator tensor of a degree-2 operation."""
-    if l.degree != 2:
-        raise DegreeMismatchError("the associator monitor needs a degree-2 operation")
-    return float(op_norm(mu_squared(_as_float(l))))
+def evaluate_observer(name: str, coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """One observer over a stack of samples: row j of coeffs is L at sample j.
 
-
-def evaluate_observer(name: str, l: MultiOp) -> float:
+    norm is the max absolute coefficient, traceK the trace of the K-th matrix
+    power of a degree-1 L, and assoc_defect the max absolute coefficient of
+    the associator L.L of a degree-2 L.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if name not in OBSERVER_NAMES:
+        raise ConfigError(f"unknown observer {name!r}")
+    degree = _OBSERVER_DEGREE.get(name)
+    if degree is not None and coeffs.shape[1] != dim ** (degree + 1):
+        raise DegreeMismatchError(f"observer {name!r} needs degree-{degree} L")
     if name == "norm":
-        return float(op_norm(l))
-    if name in ("trace1", "trace2", "trace3"):
-        return monitor_trace_power(l, int(name[-1]))
+        return np.abs(coeffs).max(axis=1)
     if name == "assoc_defect":
-        return monitor_associator(l)
-    raise ConfigError(f"unknown observer {name!r}")
+        return _assoc_defect(coeffs, dim)
+    power = np.linalg.matrix_power(coeffs.reshape(-1, dim, dim), int(name[-1]))
+    return np.trace(power, axis1=1, axis2=2)
+
+
+def _assoc_defect(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """max |L o_0 L - L o_1 L| per row, the two products batched over rows."""
+    out = np.empty(len(coeffs))
+    block = max(1, _ASSOC_BLOCK // d**5)
+    for lo in range(0, len(coeffs), block):
+        l = coeffs[lo : lo + block].reshape(-1, d, d, d)
+        g = l.reshape(-1, 1, d, d * d)
+        # L o_0 L at (a, c, b2) is sum_s L[a, s, b2] L[s, c]
+        first = np.matmul(l.transpose(0, 1, 3, 2), g).transpose(0, 1, 3, 2)
+        # L o_1 L at (a, b1, c) is sum_s L[a, b1, s] L[s, c], with sign -1
+        second = np.matmul(l.reshape(-1, d * d, d), g[:, 0])
+        diff = first.reshape(len(l), -1) - second.reshape(len(l), -1)
+        out[lo : lo + block] = np.abs(diff).max(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
 class LaxSystem:
     """A constant generator M, an initial operation L0, and run parameters.
 
-    The optional classical state (q, p) is integrated alongside L using the
-    supplied vector field; L itself only couples to M.
+    An optional classical state rides along: state0 is its initial value and
+    state_matrix the constant linear vector field on it (d state/dt =
+    state_matrix @ state).  L itself only couples to M.
     """
 
     m: MultiOp
@@ -85,8 +114,8 @@ class LaxSystem:
     dt: float
     t_end: float
     observe: tuple[str, ...] = ()
-    state0: tuple[float, float] | None = None
-    state_rhs: Callable[[float, np.ndarray], np.ndarray] | None = None
+    state0: tuple[float, ...] = ()
+    state_matrix: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         if self.m.degree != 1:
@@ -111,16 +140,43 @@ class LaxSystem:
         for name in self.observe:
             if name not in OBSERVER_NAMES:
                 raise ConfigError(f"unknown observer {name!r}")
-        if (self.state0 is None) != (self.state_rhs is None):
-            raise ConfigError("state0 and state_rhs must be supplied together")
+            degree = _OBSERVER_DEGREE.get(name, self.l0.degree)
+            if degree != self.l0.degree:
+                raise DegreeMismatchError(
+                    f"observer {name!r} needs degree-{degree} L0, got {self.l0.degree}"
+                )
+        n = len(self.state0)
+        if len(self.state_matrix) != n or any(len(r) != n for r in self.state_matrix):
+            raise ConfigError(f"state_matrix must be {n} x {n}, matching state0")
+        # checked before the operator or the trajectory is allocated
+        cells = (self.steps + 1) * (n + len(self.observe) + self.l0.coeffs.size)
+        if cells > MAX_CELLS:
+            raise ConfigError(
+                f"{self.steps + 1} samples of {cells // (self.steps + 1)} values "
+                f"are {cells} cells, over the cap of {MAX_CELLS}"
+            )
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: tuple[float, float] | None
-    l: MultiOp
-    invariants: dict[str, float] = field(default_factory=dict)
+class Trajectory:
+    """One run as arrays; sample j is at t[j] = j * dt and len() counts samples.
+
+    state and coeffs are column blocks of the one array the integrator
+    fills; state has no columns when the system has no classical state.
+    invariants maps each observer to its value at every sample.
+    """
+
+    t: np.ndarray
+    state: np.ndarray
+    coeffs: np.ndarray
+    invariants: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def _as_float(op: MultiOp) -> MultiOp:
@@ -129,62 +185,75 @@ def _as_float(op: MultiOp) -> MultiOp:
     return MultiOp(op.dim, op.degree, op.variance, op.coeffs.astype(np.float64))
 
 
-def _rhs_matrix(m: MultiOp, degree: int) -> np.ndarray:
-    """Matrix of L -> M.L - L.M on the flat coefficient space."""
+def _rhs_operator(m: MultiOp, degree: int, state_matrix=()) -> np.ndarray:
+    """Matrix of the whole right-hand side on a sample row (state, L).
+
+    The state block is state_matrix.  The L block is L -> M.L - L.M, summed
+    from (row, column, value) triplets by index arithmetic on the flat
+    layout: the output slot takes M[x, y], and each input slot k takes
+    -M[y, x], between flat indices that differ only in digit k (x in the
+    row, y in the column).  One bincount sums the triplets, so the matrix is
+    the only size x size array made.
+    """
     d = m.dim
-    size = d ** (degree + 1)
-    out = np.empty((size, size), dtype=np.float64)
-    basis = np.zeros(size, dtype=np.float64)
-    for c in range(size):
-        basis[c] = 1.0
-        e = MultiOp(d, degree, ENDO, basis)
-        out[:, c] = lax_rhs(m, e).coeffs
-        basis[c] = 0.0
-    return out
+    mat = np.asarray(m.coeffs, dtype=np.float64).reshape(d, d)
+    ns, size = len(state_matrix), d ** (degree + 1)
+    width = ns + size
+    # weight of digit k of a flat index; digit 0 is the output
+    place = (d ** np.arange(degree, -1, -1))[:, None]
+    row = np.arange(size)[:, None, None]
+    x = row // place % d
+    y = np.arange(d)
+    col = row + (y - x) * place
+    val = -mat[y, x]
+    val[:, 0] = mat[x[:, 0], y]
+    state = np.arange(ns)
+    index = np.concatenate(
+        [
+            (state[:, None] * width + state).ravel(),
+            ((row + ns) * width + (col + ns)).ravel(),
+        ]
+    )
+    weights = np.concatenate([np.ravel(state_matrix), val.ravel()])
+    return np.bincount(index, weights, minlength=width * width).reshape(width, width)
 
 
-def integrate(system: LaxSystem) -> list[TrajectorySample]:
-    """Fixed-step RK4 on the coupled (state, L) system, sampling every step."""
-    mf = _as_float(system.m)
-    degree = system.l0.degree
-    rhs_mat = _rhs_matrix(mf, degree)
-    y = np.array(system.l0.coeffs, dtype=np.float64)
-    state = None if system.state0 is None else np.array(system.state0, np.float64)
-    srhs = system.state_rhs
-    dt = system.dt
-    # LaxSystem guarantees 1 <= steps <= MAX_STEPS
-    steps = int(round(system.t_end / dt))
+def integrate(system: LaxSystem) -> Trajectory:
+    """Fixed-step RK4 on the coupled (state, L) system, sampling every step.
 
-    def snapshot(t: float, state_vec, coeffs) -> TrajectorySample:
-        l = MultiOp._wrap(mf.dim, degree, ENDO, coeffs.copy())
-        invariants = {name: evaluate_observer(name, l) for name in system.observe}
-        state_out = None if state_vec is None else (state_vec[0], state_vec[1])
-        return TrajectorySample(t=t, state=state_out, l=l, invariants=invariants)
-
-    samples = [snapshot(0.0, state, y)]
-    half = dt / 2.0
+    Sample j is row j of one preallocated array; each step is four products
+    with the constant right-hand-side operator.
+    """
+    op = _rhs_operator(_as_float(system.m), system.l0.degree, system.state_matrix)
+    ns = len(system.state0)
+    dt, steps = system.dt, system.steps
+    rows = np.empty((steps + 1, len(op)))
+    rows[0, :ns] = system.state0
+    rows[0, ns:] = system.l0.coeffs
+    half, sixth = dt / 2.0, dt / 6.0
     # overflow surfaces as the NonFiniteError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            t0 = (k - 1) * dt
-            k1 = rhs_mat @ y
-            k2 = rhs_mat @ (y + half * k1)
-            k3 = rhs_mat @ (y + half * k2)
-            k4 = rhs_mat @ (y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if state is not None:
-                s1 = srhs(t0, state)
-                s2 = srhs(t0 + half, state + half * s1)
-                s3 = srhs(t0 + half, state + half * s2)
-                s4 = srhs(t0 + dt, state + dt * s3)
-                state = state + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            t = k * dt
-            if not np.isfinite(y).all() or (
-                state is not None and not np.isfinite(state).all()
-            ):
-                raise NonFiniteError(f"non-finite coefficients at t = {t}")
-            samples.append(snapshot(t, state, y))
-    return samples
+        for k in range(steps):
+            y = rows[k]
+            k1 = op @ y
+            k2 = op @ (y + half * k1)
+            k3 = op @ (y + half * k2)
+            k4 = op @ (y + dt * k3)
+            np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=rows[k + 1])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        first_bad = int(finite.argmin())
+        raise NonFiniteError(f"non-finite coefficients at t = {first_bad * dt}")
+    coeffs = rows[:, ns:]
+    return Trajectory(
+        t=np.arange(steps + 1) * dt,
+        state=rows[:, :ns],
+        coeffs=coeffs,
+        invariants={
+            name: evaluate_observer(name, coeffs, system.m.dim)
+            for name in system.observe
+        },
+    )
 
 
 def matrix_exp(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:

@@ -57,6 +57,11 @@ SIZE_CAP = 65536
 # Hard cap on RK4 steps per run (t_end / dt); every step keeps one sample.
 MAX_STEPS = 1_000_000
 
+# Hard cap on the values a run keeps: (steps + 1) samples times (state +
+# observers + coefficients).  It admits `oscillator --degree 1` at MAX_STEPS
+# (7 values a sample) and bounds the trajectory at 128 MiB of float64.
+MAX_CELLS = 2**24
+
 
 # Element types of an exact coefficient array.
 _EXACT_TYPES = frozenset((int, Fraction))

@@ -6,13 +6,17 @@ asserted for each documented failure class.
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from operadics import cli
 from operadics.bundled import BUNDLED_FILES, bundled_path
 from operadics.errors import ConfigError
+from operadics.scalars import format_float
 
 
 def run_cli(*args, timeout=120):
@@ -227,6 +231,14 @@ def test_lax_csv_shape_and_determinism():
     assert len(lines) == 1 + 51  # header + samples at dt = 1e-3
 
 
+def test_csv_rows_have_the_bytes_of_format_float():
+    values = [0.0, -0.0, 0.1, -1.5e-300, 5e-324, 1e300, math.pi, 2.0**60]
+    values += [math.nan, math.inf, -math.inf]
+    text = cli._csv([f"c{k}" for k in range(len(values))], np.array([values] * 2))
+    row = ",".join(format_float(v) for v in values)
+    assert text.splitlines()[1:] == [row, row]
+
+
 def test_lax_machine_format():
     r = run_cli(
         "lax",
@@ -306,6 +318,35 @@ def test_step_cap_is_a_config_error(tmp_path):
         ("lax", "--system", path),
     ):
         assert_one_line_error(run_cli(*args, timeout=30), 2)
+
+
+def test_lax_in_dim_one_at_huge_degree(tmp_path):
+    # the operator of a dim-1 L0 is the scalar m * (1 - degree), built
+    # without a pass over the 60000 slots
+    doc = {"dim": 1, "M": [0.5], "L0": {"degree": 60000, "coeffs": [1.0]}}
+    doc.update(dt=1e-6, t_end=2e-6, observe=["norm"])
+    path = tmp_path / "dim1.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lax", "--system", str(path), timeout=30)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "t,norm,L0" and len(lines) == 4
+    z = 0.5 * (1 - 60000) * 1e-6
+    growth = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24  # one RK4 step
+    assert float(lines[-1].split(",")[-1]) == pytest.approx(growth**2, rel=1e-12)
+
+
+def test_cell_cap_is_a_config_error(tmp_path):
+    # 200001 samples of a degree-6 L0 and its norm are 25.8M values, over
+    # MAX_CELLS; the cap rejects the run before anything is allocated
+    doc = json.loads(bundled_path("lax_deg1.json").read_text())
+    L0 = {"degree": 6, "coeffs": [0.5] * 128}
+    doc.update(L0=L0, dt=1e-3, t_end=200.0, observe=["norm"])
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lax", "--system", str(path), timeout=30)
+    assert_one_line_error(r, 2)
+    assert "cells" in r.stderr
 
 
 def test_huge_degree_in_operation_file_is_a_parse_error(tmp_path):

@@ -1,5 +1,6 @@
-"""Lax flows: right-hand sides against kron oracles, RK4 against the
-closed-form conjugation solution, and the file loaders.
+"""Lax flows: right-hand sides against kron oracles, the operator against
+its basis-vector build, stacked observers against per-sample ones, RK4
+against the closed-form conjugation solution, and the file loaders.
 """
 
 import json
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from operadics import dynamics
+from operadics.braces import mu_squared
 from operadics.dynamics import (
     LaxSystem,
+    _rhs_operator,
     conjugation_oracle,
     evaluate_observer,
     integrate,
@@ -19,8 +23,6 @@ from operadics.dynamics import (
     load_initial_op,
     load_lax_system,
     matrix_exp,
-    monitor_associator,
-    monitor_trace_power,
 )
 from operadics.bundled import bundled_path
 from operadics.errors import (
@@ -32,6 +34,7 @@ from operadics.errors import (
 from operadics.multiop import (
     ENDO,
     FLOAT,
+    MAX_CELLS,
     MultiOp,
     identity_op,
     max_abs_diff,
@@ -90,25 +93,95 @@ def test_lax_rhs_requires_degree_one_generator():
         lax_rhs(random_op(rng, 2, 2, ENDO, FLOAT), random_op(rng, 2, 1, ENDO, FLOAT))
 
 
+def rhs_matrix_oracle(m, degree):
+    """Matrix of L -> M.L - L.M, one lax_rhs call per basis vector."""
+    d = m.dim
+    size = d ** (degree + 1)
+    out = np.empty((size, size), dtype=np.float64)
+    basis = np.zeros(size, dtype=np.float64)
+    for c in range(size):
+        basis[c] = 1.0
+        out[:, c] = lax_rhs(m, MultiOp(d, degree, ENDO, basis)).coeffs
+        basis[c] = 0.0
+    return out
+
+
+def test_rhs_operator_matches_the_basis_vector_build():
+    # random M, not only antisymmetric; dim 3 stops at degree 6 (2187
+    # coefficients), since the two dense matrices of degree 8 take 6 GiB
+    rng = random.Random(3)
+    for d in (1, 2, 3):
+        m = random_op(rng, d, 1, ENDO, FLOAT)
+        for degree in range(1, 9):
+            if d ** (degree + 1) > 2187:
+                break
+            want = rhs_matrix_oracle(m, degree)
+            got = _rhs_operator(m, degree)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_rhs_operator_of_huge_degree_in_dim_one():
+    # the output slot adds m and each of the 60000 input slots subtracts it;
+    # a loop over slots would take most of a second here
+    m = _float_op(1, 1, [0.7])
+    got = _rhs_operator(m, 60000)
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(0.7 * (1 - 60000), rel=1e-12)
+
+
+def test_rhs_operator_places_the_state_block_first():
+    m = _rotation_m()
+    state = ((0.0, 1.0), (-4.0, 0.0))
+    got = _rhs_operator(m, 2, state)
+    assert got.shape == (10, 10)
+    assert got[:2, :2].tolist() == [list(r) for r in state]
+    assert not got[:2, 2:].any() and not got[2:, :2].any()
+    assert np.array_equal(got[2:, 2:], _rhs_operator(m, 2))
+
+
 # --- observers ---------------------------------------------------------------
 
 
 def test_observers_on_a_known_matrix():
-    l = _float_op(2, 1, [1.0, 2.0, 3.0, 4.0])
-    assert monitor_trace_power(l, 1) == pytest.approx(5.0)
+    stack = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert evaluate_observer("trace1", stack, 2)[0] == pytest.approx(5.0)
     # tr(L^2) for [[1,2],[3,4]] is 1 + 6 + 6 + 16
-    assert monitor_trace_power(l, 2) == pytest.approx(29.0)
-    assert evaluate_observer("trace2", l) == pytest.approx(29.0)
-    assert evaluate_observer("norm", l) == pytest.approx(4.0)
+    assert evaluate_observer("trace2", stack, 2)[0] == pytest.approx(29.0)
+    assert evaluate_observer("norm", stack, 2)[0] == pytest.approx(4.0)
     with pytest.raises(ConfigError):
-        evaluate_observer("nope", l)
+        evaluate_observer("nope", stack, 2)
     with pytest.raises(DegreeMismatchError):
-        monitor_associator(l)
+        evaluate_observer("assoc_defect", stack, 2)
+    with pytest.raises(DegreeMismatchError):
+        evaluate_observer("trace2", np.zeros((1, 8)), 2)
 
 
 def test_associator_observer_vanishes_for_coordinatewise_product():
-    l = _float_op(2, 2, [1.0, 0, 0, 0, 0, 0, 0, 1.0])
-    assert monitor_associator(l) == 0.0
+    stack = np.array([[1.0, 0, 0, 0, 0, 0, 0, 1.0]])
+    assert evaluate_observer("assoc_defect", stack, 2)[0] == 0.0
+
+
+@pytest.mark.parametrize("block", [dynamics._ASSOC_BLOCK, 100])
+def test_stacked_observers_match_per_sample_oracles(monkeypatch, block):
+    # a block of 100 coefficients splits the associators into many blocks
+    monkeypatch.setattr(dynamics, "_ASSOC_BLOCK", block)
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        # random degree-2 L is not associative: the defect is of order 1
+        stack = rng.uniform(-1.0, 1.0, size=(40, d**3))
+        want = [op_norm(mu_squared(_float_op(d, 2, row))) for row in stack]
+        got = evaluate_observer("assoc_defect", stack, d)
+        assert np.abs(got - want).max() <= 1e-15
+        want = [op_norm(_float_op(d, 2, row)) for row in stack]
+        assert np.abs(evaluate_observer("norm", stack, d) - want).max() <= 1e-15
+        stack = rng.uniform(-1.0, 1.0, size=(40, d**2))
+        for k in (1, 2, 3):
+            want = [
+                np.trace(np.linalg.matrix_power(row.reshape(d, d), k))
+                for row in stack
+            ]
+            got = evaluate_observer(f"trace{k}", stack, d)
+            assert np.abs(got - want).max() <= 1e-15
 
 
 # --- matrix exponential --------------------------------------------------------
@@ -182,8 +255,8 @@ def test_zero_generator_keeps_l_constant():
     system = LaxSystem(
         m=_float_op(2, 1, [0.0] * 4), l0=l0, dt=0.01, t_end=0.5
     )
-    samples = integrate(system)
-    assert max_abs_diff(samples[-1].l, l0) == 0.0
+    traj = integrate(system)
+    assert max_abs_diff(_float_op(2, 1, traj.coeffs[-1]), l0) == 0.0
 
 
 def test_rk4_matches_oracle_at_tenth_of_a_unit():
@@ -192,9 +265,9 @@ def test_rk4_matches_oracle_at_tenth_of_a_unit():
         rng = random.Random(deg)
         l0 = _float_op(2, deg, [rng.uniform(-1, 1) for _ in range(size)])
         system = LaxSystem(m=m, l0=l0, dt=1e-3, t_end=0.2)
-        samples = integrate(system)
+        traj = integrate(system)
         want = conjugation_oracle(m, l0, 0.2)
-        assert max_abs_diff(samples[-1].l, want) < 1e-9
+        assert max_abs_diff(_float_op(2, deg, traj.coeffs[-1]), want) < 1e-9
 
 
 def test_rk4_error_scales_as_fourth_order():
@@ -203,8 +276,8 @@ def test_rk4_error_scales_as_fourth_order():
     want = conjugation_oracle(m, l0, 1.0)
     errs = []
     for dt in (0.1, 0.05):
-        samples = integrate(LaxSystem(m=m, l0=l0, dt=dt, t_end=1.0))
-        errs.append(max_abs_diff(samples[-1].l, want))
+        traj = integrate(LaxSystem(m=m, l0=l0, dt=dt, t_end=1.0))
+        errs.append(max_abs_diff(_float_op(2, 2, traj.coeffs[-1]), want))
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
 
@@ -218,17 +291,37 @@ def test_sampling_grid_and_observers():
         t_end=0.5,
         observe=("trace1", "trace2"),
     )
-    samples = integrate(system)
-    assert [round(s.t, 10) for s in samples] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    assert set(samples[0].invariants) == {"trace1", "trace2"}
-    assert np.stack([s.l.coeffs for s in samples]).shape == (6, 4)
+    traj = integrate(system)
+    assert [round(t, 10) for t in traj.t] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    assert set(traj.invariants) == {"trace1", "trace2"}
+    assert traj.coeffs.shape == (6, 4)
+    assert traj.invariants["trace2"].shape == (6,)
+
+
+def test_trajectory_length_is_steps_plus_one():
+    m, l0 = _rotation_m(), _float_op(2, 1, [1.0, 0, 0, 1.0])
+    for dt, t_end, steps in ((0.1, 0.5, 5), (0.3, 1.0, 3), (1e-3, 1e-3, 1)):
+        traj = integrate(LaxSystem(m=m, l0=l0, dt=dt, t_end=t_end))
+        assert len(traj) == steps + 1 == len(traj.coeffs)
+    system = LaxSystem(
+        m=m, l0=l0, dt=0.25, t_end=1.0, state0=(1.0, 0.0),
+        state_matrix=((0.0, 1.0), (-1.0, 0.0)),
+    )
+    traj = integrate(system)
+    assert len(traj) == 5 and traj.state.shape == (5, 2)
 
 
 def test_divergent_run_raises_non_finite():
     m = _float_op(2, 1, [1e200, 0.0, 0.0, -1e200])
     l0 = _float_op(2, 1, [0.0, 1e200, 1e-200, 0.0])
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError) as info:
         integrate(LaxSystem(m=m, l0=l0, dt=1.0, t_end=5.0))
+    assert str(info.value) == "non-finite coefficients at t = 1.0"
+    # the first bad row is step 3, reported as 3 * dt
+    m = _float_op(2, 1, [5e11, 0.0, 0.0, -5e11])
+    with pytest.raises(NonFiniteError) as info:
+        integrate(LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0))
+    assert str(info.value) == "non-finite coefficients at t = 0.30000000000000004"
 
 
 def test_state_integration_rides_along():
@@ -239,10 +332,10 @@ def test_state_integration_rides_along():
         dt=1e-3,
         t_end=1.0,
         state0=(1.0, 0.0),
-        state_rhs=lambda t, y: np.array([y[1], -y[0]]),
+        state_matrix=((0.0, 1.0), (-1.0, 0.0)),
     )
-    samples = integrate(system)
-    q, p = samples[-1].state
+    traj = integrate(system)
+    q, p = traj.state[-1]
     assert q == pytest.approx(math.cos(1.0), abs=1e-10)
     assert p == pytest.approx(-math.sin(1.0), abs=1e-10)
 
@@ -261,6 +354,27 @@ def test_lax_system_validation():
         LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0, observe=("bogus",))
     with pytest.raises(DegreeMismatchError):
         LaxSystem(m=_float_op(2, 2, [0.0] * 8), l0=l0, dt=0.1, t_end=1.0)
+    with pytest.raises(DegreeMismatchError):
+        LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0, observe=("assoc_defect",))
+    with pytest.raises(ConfigError):
+        LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0, state0=(1.0, 0.0))
+    with pytest.raises(ConfigError):
+        LaxSystem(
+            m=m, l0=l0, dt=0.1, t_end=1.0, state0=(1.0,), state_matrix=((0.0, 1.0),)
+        )
+
+
+def test_cell_cap_counts_state_observers_and_coefficients():
+    m = _rotation_m()
+    l0 = _float_op(2, 4, [0.5] * 32)
+    state = {"state0": (1.0, 0.0), "state_matrix": ((0.0, 1.0), (-1.0, 0.0))}
+    # (steps + 1) * (2 + 1 + 32) cells, with steps inside MAX_STEPS
+    steps = MAX_CELLS // 35 - 1
+    LaxSystem(m=m, l0=l0, dt=1.0, t_end=float(steps), observe=("norm",), **state)
+    with pytest.raises(ConfigError, match="cells"):
+        LaxSystem(
+            m=m, l0=l0, dt=1.0, t_end=float(steps + 1), observe=("norm",), **state
+        )
 
 
 def test_bundled_lax_files_load(tmp_path):

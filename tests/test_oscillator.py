@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from operadics.dynamics import integrate, lax_rhs, matrix_exp, monitor_trace_power
+from operadics.dynamics import evaluate_observer, integrate, lax_rhs, matrix_exp
 from operadics.errors import ConfigError, DegreeMismatchError, DimMismatchError
 from operadics.multiop import (
     ENDO,
@@ -57,7 +57,7 @@ def test_trace_of_l_squared_is_four_h():
     for _ in range(20):
         q, p, w = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 3)
         l = classical_lax(q, p, w)
-        assert monitor_trace_power(l, 2) == pytest.approx(
+        assert evaluate_observer("trace2", l.coeffs[None], 2)[0] == pytest.approx(
             4.0 * hamiltonian(q, p, w), abs=1e-12
         )
 
@@ -189,18 +189,26 @@ def test_degree_one_default_l_init_is_the_classical_matrix():
 # --- assembled system --------------------------------------------------------------
 
 
+def test_state_matrix_is_the_canonical_flow():
+    rng = random.Random(9)
+    for _ in range(10):
+        q, p, w = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 3)
+        params = OscillatorParams(omega=w, q0=q, p0=p)
+        mat = np.array(oscillator_system(params, 0.1, 1.0).state_matrix)
+        assert tuple(mat @ [q, p]) == canonical_flow(q, p, w)
+
+
 def test_integrated_oscillator_conserves_h_and_trace():
     # dt = 1e-2 keeps this quick; RK4 drift stays a few 1e-9 over 300 steps
-    samples = integrate(oscillator_system(STANDARD, 1e-2, 3.0))
-    for s in samples:
-        q, p = s.state
-        assert hamiltonian(q, p, 2.0) == pytest.approx(2.0, abs=1e-8)
-        assert monitor_trace_power(s.l, 2) == pytest.approx(8.0, abs=1e-8)
+    traj = integrate(oscillator_system(STANDARD, 1e-2, 3.0))
+    q, p = traj.state.T
+    assert hamiltonian(q, p, 2.0) == pytest.approx(np.full(len(traj), 2.0), abs=1e-8)
+    assert traj.invariants["trace2"] == pytest.approx(np.full(len(traj), 8.0), abs=1e-8)
 
 
 def test_integrated_state_matches_the_exact_flow():
-    samples = integrate(oscillator_system(STANDARD, 1e-3, 2.0))
-    q, p = samples[-1].state
+    traj = integrate(oscillator_system(STANDARD, 1e-3, 2.0))
+    q, p = traj.state[-1]
     qe, pe = exact_flow(STANDARD, 2.0)
     assert q == pytest.approx(qe, abs=1e-10)
     assert p == pytest.approx(pe, abs=1e-10)
