@@ -6,10 +6,11 @@ from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
 This module builds those matrices on the elementary basis as sparse columns,
 by index arithmetic on the structure constants of mu, and splits each matrix
 into independent blocks: the connected components of the graph joining a
-row to a column wherever their entry is nonzero.  Exact ranks come from
-fraction-free (Bareiss) elimination and preimages and kernels from rational
-Gauss-Jordan elimination, both run on one block at a time.  Cohomology
-dimensions follow the usual convention that nothing maps into degree 0:
+row to a column wherever their entry is nonzero.  One fraction-free
+(Bareiss) elimination on integers, run on one block at a time, gives exact
+ranks; preimages and kernels scale its pivot rows to unit pivots and clear
+upwards to the reduced echelon form.  Cohomology dimensions follow the usual
+convention that nothing maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
@@ -33,13 +34,14 @@ import numpy as np
 
 from .braces import mu_squared
 from .errors import (
+    BackendMismatchError,
     DegreeMismatchError,
     NotAssociativeError,
     ParseError,
     SizeCapError,
 )
-from .multiop import ENDO, SIZE_CAP, MultiOp, is_zero, zero_op
-from .scalars import format_exact, parse_exact, sign_pow
+from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, is_zero, zero_op
+from .scalars import parse_exact, sign_pow
 
 # Hard cap on the insertions of mu in one Betti table, the sum over degrees
 # of columns * (n + 2).  This is the total of the largest table SIZE_CAP
@@ -150,15 +152,6 @@ def _exact_int(value) -> int:
     return value
 
 
-def algebra_to_json(spec: AlgebraSpec) -> str:
-    doc = {
-        "name": spec.name,
-        "dim": spec.dim,
-        "mu": [format_exact(v) for v in spec.mu.coeffs.tolist()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def load_algebra(path) -> AlgebraSpec:
     try:
         text = Path(path).read_text()
@@ -167,17 +160,12 @@ def load_algebra(path) -> AlgebraSpec:
     return algebra_from_json(text)
 
 
-def basis_op(dim: int, degree: int, index: int, variance: str = ENDO) -> MultiOp:
-    size = dim ** (degree + 1)
-    data = np.zeros(size, dtype=object)
-    data[index] = 1
-    return MultiOp(dim, degree, variance, data)
-
-
 def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
     """Matrix of the coboundary on degree-n operations, exact entries."""
     if n < 0:
         raise DegreeMismatchError(f"cochain degree must be >= 0, got {n}")
+    if spec.mu.backend != EXACT:
+        raise BackendMismatchError("exact entries expected")
     if not spec.is_associative():
         warnings.warn(
             f"mu of {spec.name!r} is not associative; the matrix is still "
@@ -227,11 +215,24 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
     return CoboundaryMatrix(n=n, rows=rows, cols=cols, columns=tuple(columns))
 
 
+def _exact(values) -> list:
+    """The values as a list, raising unless each is an exact scalar.
+
+    Python and numpy integers and Fractions are exact.  Every matrix entry
+    and right-hand side entry of the three solvers below passes here, so
+    they take one input domain.
+    """
+    values = list(values)
+    if not all(hasattr(x, "denominator") for x in values):
+        raise BackendMismatchError("exact entries expected")
+    return values
+
+
 def _sparse_columns(matrix) -> tuple[int, list]:
     """Row count and sparse columns of a CoboundaryMatrix or of dense rows."""
     if isinstance(matrix, CoboundaryMatrix):
         return matrix.rows, matrix.columns
-    rows = [list(row) for row in matrix]
+    rows = [_exact(row) for row in matrix]
     ncols = len(rows[0]) if rows else 0
     columns = [
         tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
@@ -279,37 +280,35 @@ def _blocks(nrows: int, columns) -> list[tuple[list[int], list[int], list[list]]
 
 
 def _clear_denominators(rows: list[list]) -> list[list[int]]:
-    """Scale each row of ints and Fractions by the lcm of its denominators."""
+    """Scale each row of exact scalars by the lcm of its denominators."""
     out = []
     for row in rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * mult) for x in row])
+        mult = math.lcm(*[x.denominator for x in row])
+        out.append([int(x.numerator) * (mult // x.denominator) for x in row])
     return out
 
 
 def exact_rank(matrix) -> int:
-    """Rank of an exact matrix: the sum of the Bareiss ranks of its blocks.
-
-    Denominators are cleared per row first, so the elimination runs on
-    integers.
-    """
+    """Rank of an exact matrix: the sum of the pivot counts of its blocks."""
     return sum(
-        _bareiss_rank(_clear_denominators(dense))
+        len(_echelon(_clear_denominators(dense))[1])
         for _, _, dense in _blocks(*_sparse_columns(matrix))
     )
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of an integer matrix by fraction-free (Bareiss) steps.
 
+    Returns the nonzero rows, reduced in place, and their pivot columns.
     Every division in the update is exact by the Sylvester identity, which
     the divmod below double-checks.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
+    pivots = []
     prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
@@ -328,33 +327,25 @@ def _bareiss_rank(m: list[list[int]]) -> int:
                 cur[c] = quot
             cur[col] = 0
         prev = pivot
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m[: len(pivots)], pivots
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form over the rationals."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((k for k in range(r, nrows) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        lead = rows[r]
-        for k in range(nrows):
-            if k != r and rows[k][c] != 0:
-                factor = rows[k][c]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], lead)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Nonzero rows of the reduced row echelon form, and their pivot columns.
+
+    The forward pass is _echelon on integers; each pivot row is then scaled
+    to a unit pivot and cleared upwards from the last pivot row.
+    """
+    echelon, pivots = _echelon(_clear_denominators(rows))
+    reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
+    for i in range(len(pivots) - 1, 0, -1):
+        p, lead = pivots[i], reduced[i]
+        for row in reduced[:i]:
+            factor = row[p]
+            if factor:
+                row[p:] = [a - factor * b for a, b in zip(row[p:], lead[p:])]
+    return reduced, pivots
 
 
 def solve_linear(matrix, rhs):
@@ -363,6 +354,7 @@ def solve_linear(matrix, rhs):
     Free variables are 0.  Each block is reduced with its own part of rhs;
     a nonzero rhs entry on an all-zero row has no solution.
     """
+    rhs = _exact(rhs)
     nrows, columns = _sparse_columns(matrix)
     blocks = _blocks(nrows, columns)
     covered = {r for _, rows, _ in blocks for r in rows}
@@ -370,10 +362,7 @@ def solve_linear(matrix, rhs):
         return None
     x = [Fraction(0)] * len(columns)
     for cols, rows, dense in blocks:
-        aug = [
-            [Fraction(v) for v in row] + [Fraction(rhs[r])]
-            for r, row in zip(rows, dense)
-        ]
+        aug = [row + [rhs[r]] for r, row in zip(rows, dense)]
         reduced, pivots = _rref(aug)
         if pivots and pivots[-1] == len(cols):  # a pivot in the rhs column
             return None
@@ -393,7 +382,7 @@ def nullspace(matrix) -> list[list[Fraction]]:
     pivot_cols = set()
     kernel = {}  # free column -> [(pivot column, coefficient)]
     for cols, _, dense in _blocks(nrows, columns):
-        reduced, pivots = _rref([[Fraction(v) for v in row] for row in dense])
+        reduced, pivots = _rref(dense)
         pivot_cols.update(cols[p] for p in pivots)
         for j in set(range(len(cols))).difference(pivots):
             kernel[cols[j]] = [(cols[p], -row[j]) for row, p in zip(reduced, pivots)]

@@ -55,6 +55,10 @@ def lax_rhs(m: MultiOp, l: MultiOp) -> MultiOp:
     return sub(total_compose(m, l), total_compose(l, m))
 
 
+# Steps integrated between two finiteness checks: a diverging run stops
+# within one block of its first non-finite row.
+_CHECK_STEPS = 1024
+
 # Degree of L each observer needs; norm takes any degree.
 _OBSERVER_DEGREE = {"trace1": 1, "trace2": 1, "trace3": 1, "assoc_defect": 2}
 
@@ -222,7 +226,8 @@ def integrate(system: LaxSystem) -> Trajectory:
     """Fixed-step RK4 on the coupled (state, L) system, sampling every step.
 
     Sample j is row j of one preallocated array; each step is four products
-    with the constant right-hand-side operator.
+    with the constant right-hand-side operator.  The rows are checked for
+    finiteness once per block of _CHECK_STEPS steps.
     """
     op = _rhs_operator(_as_float(system.m), system.l0.degree, system.state_matrix)
     ns = len(system.state0)
@@ -233,17 +238,19 @@ def integrate(system: LaxSystem) -> Trajectory:
     half, sixth = dt / 2.0, dt / 6.0
     # overflow surfaces as the NonFiniteError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            y = rows[k]
-            k1 = op @ y
-            k2 = op @ (y + half * k1)
-            k3 = op @ (y + half * k2)
-            k4 = op @ (y + dt * k3)
-            np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=rows[k + 1])
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        first_bad = int(finite.argmin())
-        raise NonFiniteError(f"non-finite coefficients at t = {first_bad * dt}")
+        for start in range(0, steps, _CHECK_STEPS):
+            stop = min(start + _CHECK_STEPS, steps)
+            for k in range(start, stop):
+                y = rows[k]
+                k1 = op @ y
+                k2 = op @ (y + half * k1)
+                k3 = op @ (y + half * k2)
+                k4 = op @ (y + dt * k3)
+                np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=rows[k + 1])
+            finite = np.isfinite(rows[start : stop + 1]).all(axis=1)
+            if not finite.all():
+                first_bad = start + int(finite.argmin())
+                raise NonFiniteError(f"non-finite coefficients at t = {first_bad * dt}")
     coeffs = rows[:, ns:]
     return Trajectory(
         t=np.arange(steps + 1) * dt,

@@ -336,6 +336,20 @@ def test_lax_in_dim_one_at_huge_degree(tmp_path):
     assert float(lines[-1].split(",")[-1]) == pytest.approx(growth**2, rel=1e-12)
 
 
+def test_diverging_flow_stops_at_its_first_non_finite_block(tmp_path):
+    # the operator is 0.5 * (1 - 60000), far outside the stability region of
+    # RK4 at dt 1e-3, so L overflows at t = 0.069; all 10**6 steps take
+    # about 25 s, so the timeout fails a run that does not stop within a
+    # block of the first bad row
+    doc = {"dim": 1, "M": [0.5], "L0": {"degree": 60000, "coeffs": [1.0]}}
+    doc.update(dt=1e-3, t_end=1000.0)
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("lax", "--system", str(path), timeout=10)
+    assert_one_line_error(r, 5)
+    assert r.stderr == "error: non-finite coefficients at t = 0.069\n"
+
+
 def test_cell_cap_is_a_config_error(tmp_path):
     # 200001 samples of a degree-6 L0 and its norm are 25.8M values, over
     # MAX_CELLS; the cap rejects the run before anything is allocated

@@ -1,7 +1,9 @@
 """Exact linear algebra and cohomology tables.
 
-The rank oracle here is a straightforward Gaussian elimination over
-Fraction, independent of the fraction-free routine under test.  Expected
+The oracles here are a straightforward dense Gauss-Jordan elimination over
+Fraction, independent of the fraction-free eliminator under test that rank,
+solve and nullspace share; they check it on block matrices with small and
+with 30-digit entries and on coboundary matrices.  Expected
 Betti numbers are frozen from hand derivations: a one-dimensional algebra
 has one-dimensional cohomology in degree 0 only; the two-dimensional
 nilpotent extension keeps one class per positive degree; the full 2x2
@@ -24,8 +26,6 @@ from operadics.cohomology import (
     WORK_CAP,
     AlgebraSpec,
     algebra_from_json,
-    algebra_to_json,
-    basis_op,
     betti_table,
     coboundary_matrix,
     cocycle_basis,
@@ -38,12 +38,31 @@ from operadics.cohomology import (
     solve_linear,
 )
 from operadics.errors import (
+    BackendMismatchError,
     DegreeMismatchError,
     NotAssociativeError,
     ParseError,
     SizeCapError,
 )
 from operadics.multiop import ENDO, MultiOp, is_zero
+from operadics.scalars import format_exact
+
+
+def basis_op(dim, degree, index):
+    """The elementary degree-`degree` operation with a 1 at flat `index`."""
+    data = np.zeros(dim ** (degree + 1), dtype=object)
+    data[index] = 1
+    return MultiOp(dim, degree, ENDO, data)
+
+
+def algebra_to_json(spec):
+    """The algebra file text of a spec, as the bundled files are written."""
+    doc = {
+        "name": spec.name,
+        "dim": spec.dim,
+        "mu": [format_exact(v) for v in spec.mu.coeffs.tolist()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # --- rank oracle ---------------------------------------------------------
@@ -115,7 +134,17 @@ def solve_oracle(matrix, rhs):
     return x
 
 
-def hidden_block_matrix(rng):
+def small_entry(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def huge_entry(rng):
+    """About +-10**30 over a mix of small and 31-digit denominators (or 0)."""
+    numerator = rng.randint(-3, 3) * 10**30 + rng.randint(-9, 9)
+    return Fraction(numerator, rng.choice((1, 2, 3, 7, 10**30 + 1)))
+
+
+def hidden_block_matrix(rng, entry=small_entry):
     """A block-diagonal Fraction matrix with zero rows and columns, permuted.
 
     Some blocks are rank deficient: one row is a combination of the others,
@@ -124,10 +153,7 @@ def hidden_block_matrix(rng):
     blocks = []
     for _ in range(rng.randint(1, 5)):
         h, w = rng.randint(1, 4), rng.randint(1, 4)
-        block = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(w)]
-            for _ in range(h)
-        ]
+        block = [[entry(rng) for _ in range(w)] for _ in range(h)]
         if h > 1 and rng.random() < 0.4:
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             block[-1] = [a * x + b * y for x, y in zip(block[0], block[1 % (h - 1)])]
@@ -215,9 +241,11 @@ def test_solve_and_nullspace_roundtrip():
 
 
 def test_block_solvers_match_dense_reduction():
-    for seed in range(300):
+    cases = [(seed, small_entry) for seed in range(300)]
+    cases += [(seed, huge_entry) for seed in range(100)]
+    for seed, entry in cases:
         rng = random.Random(seed)
-        m = hidden_block_matrix(rng)
+        m = hidden_block_matrix(rng, entry)
         assert exact_rank(m) == rank_oracle(m), f"seed {seed}"
         assert nullspace(m) == nullspace_oracle(m), f"seed {seed}"
         x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m[0]]
@@ -237,6 +265,30 @@ def test_block_solvers_match_dense_reduction():
             assert solve_oracle(m, bad) is None
 
 
+def test_exact_solvers_take_only_exact_entries():
+    # Python and numpy integers and Fractions are exact, even mixed
+    m = np.array([[1, 2], [2, 4], [1, 0]])
+    assert exact_rank(m) == 2
+    assert nullspace(m.T) == [[Fraction(-2), Fraction(1), Fraction(0)]]
+    assert solve_linear(m, np.array([3, 6, 1])) == [Fraction(1), Fraction(1)]
+    mixed = [[np.int64(2**62), Fraction(1, 10**20)], [np.int32(1), 0]]
+    assert exact_rank(mixed) == 2
+    assert solve_linear(mixed, [2**62, 1]) == [Fraction(1), Fraction(0)]
+    # a float entry raises, in the matrix or the rhs, zero or not, inside a
+    # block or on a row outside every block
+    for bad in ([[0.5, 1], [1, 2]], [[np.float64(1), 0]], [[0.0, 0.0]], [[1, 0], [0, 0.0]]):
+        for solver in (exact_rank, nullspace, lambda m: solve_linear(m, [1] * len(m))):
+            with pytest.raises(BackendMismatchError, match="exact entries expected"):
+                solver(bad)
+    for bad_rhs in ([0.5], [1, 0.5], [1, 0.0]):
+        with pytest.raises(BackendMismatchError, match="exact entries expected"):
+            solve_linear([[1, 2], [0, 0]][: len(bad_rhs)], bad_rhs)
+    # and so does a coboundary matrix of float structure constants
+    float_spec = AlgebraSpec(name="float", dim=1, mu=MultiOp(1, 2, ENDO, [1.0]))
+    with pytest.raises(BackendMismatchError, match="exact entries expected"):
+        coboundary_matrix(float_spec, 0)
+
+
 def test_block_solve_rejects_inconsistent_block():
     # blocks {row 0, col 1} and {rows 1-2, cols 0 and 3}; rows (2, 4) and (1, 2)
     # of the second make the right-hand side (3, 1) inconsistent
@@ -247,7 +299,7 @@ def test_block_solve_rejects_inconsistent_block():
 
 
 def test_block_solvers_on_coboundary_matrices():
-    for name, n_max in (("dual_numbers.json", 5), ("mat2.json", 1)):
+    for name, n_max in (("dual_numbers.json", 5), ("mat2.json", 2)):
         spec = load_algebra(bundled_path(name))
         rng = random.Random(name)
         for n in range(n_max + 1):

@@ -322,6 +322,23 @@ def test_divergent_run_raises_non_finite():
     with pytest.raises(NonFiniteError) as info:
         integrate(LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0))
     assert str(info.value) == "non-finite coefficients at t = 0.30000000000000004"
+    # dim 1, degree 4, M = 1: the operator is 1 - 4 = -3, so each RK4 step
+    # multiplies L by 1.375; the scalar recursion finds the first bad step,
+    # which lies past the first two blocks of steps the integrator checks
+    step, y = 0, 1.0
+    while math.isfinite(y):
+        k1 = -3.0 * y
+        k2 = -3.0 * (y + 0.5 * k1)
+        k3 = -3.0 * (y + 0.5 * k2)
+        k4 = -3.0 * (y + k3)
+        y = y + (1.0 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step += 1
+    assert 2 * dynamics._CHECK_STEPS < step < 3 * dynamics._CHECK_STEPS
+    m, l0 = _float_op(1, 1, [1.0]), _float_op(1, 4, [1.0])
+    system = LaxSystem(m=m, l0=l0, dt=1.0, t_end=5000.0)
+    with pytest.raises(NonFiniteError) as info:
+        integrate(system)
+    assert str(info.value) == f"non-finite coefficients at t = {float(step)}"
 
 
 def test_state_integration_rides_along():
