@@ -491,10 +491,15 @@ def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
 
 
 def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:
-    """Random integer combination of kernel basis vectors (a cocycle)."""
+    """Random integer combination of kernel basis vectors (a cocycle).
+
+    One weight in -3..3 is drawn per basis vector, in basis order, and the
+    weights multiply the stacked basis once.
+    """
     if basis is None:
         basis = cocycle_basis(spec, degree)
-    out = zero_op(spec.dim, degree)
-    for b in basis:
-        out = out + rng.randint(-3, 3) * b
-    return out
+    weights = [rng.randint(-3, 3) for _ in basis]
+    if not basis:
+        return zero_op(spec.dim, degree)
+    stacked = np.array([b.coeffs for b in basis])
+    return MultiOp(spec.dim, degree, ENDO, np.array(weights, dtype=object) @ stacked)

@@ -83,6 +83,16 @@ def _coefficient_array(values) -> np.ndarray:
     return np.array(exact, dtype=object)
 
 
+def _capped_size(dim: int, degree: int) -> int:
+    """dim**(degree+1), the coefficient count; SizeCapError above SIZE_CAP."""
+    size = dim ** (degree + 1)
+    if size > SIZE_CAP:
+        raise SizeCapError(
+            f"dim {dim} degree {degree} needs {size} coefficients, cap is {SIZE_CAP}"
+        )
+    return size
+
+
 @dataclass(frozen=True, eq=False)
 class MultiOp:
     """Immutable degree-n multilinear operation over a d-dimensional module.
@@ -104,12 +114,7 @@ class MultiOp:
             raise ShapeMismatchError(f"dim must be >= 1, got {self.dim}")
         if self.degree < 0:
             raise ShapeMismatchError(f"degree must be >= 0, got {self.degree}")
-        size = self.dim ** (self.degree + 1)
-        if size > SIZE_CAP:
-            raise SizeCapError(
-                f"dim {self.dim} degree {self.degree} needs {size} coefficients, "
-                f"cap is {SIZE_CAP}"
-            )
+        size = _capped_size(self.dim, self.degree)
         arr = self.coeffs
         if not isinstance(arr, np.ndarray):
             arr = _coefficient_array(list(arr))
@@ -204,7 +209,7 @@ def _check_pair(f: MultiOp, g: MultiOp):
 
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
     dtype = np.float64 if backend == FLOAT else object
-    return MultiOp(dim, degree, variance, np.zeros(dim ** (degree + 1), dtype=dtype))
+    return MultiOp(dim, degree, variance, np.zeros(_capped_size(dim, degree), dtype=dtype))
 
 
 def identity_op(dim: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:

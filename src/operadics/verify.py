@@ -209,15 +209,17 @@ def dual_numbers_spec() -> AlgebraSpec:
     )
 
 
+# The cocycle suites' algebra, built once; its associator and cocycle bases
+# are computed on first use and kept.
+_DUAL_NUMBERS = dual_numbers_spec()
 _COCYCLE_CACHE: dict[int, list[MultiOp]] = {}
 
 
 def _dual_cocycle(rng, degree: int) -> MultiOp:
-    spec = dual_numbers_spec()
     basis = _COCYCLE_CACHE.get(degree)
     if basis is None:
-        basis = _COCYCLE_CACHE[degree] = cocycle_basis(spec, degree)
-    return random_cocycle(rng, spec, degree, basis)
+        basis = _COCYCLE_CACHE[degree] = cocycle_basis(_DUAL_NUMBERS, degree)
+    return random_cocycle(rng, _DUAL_NUMBERS, degree, basis)
 
 
 # ------------------------------------------------------------- the suites
@@ -500,7 +502,7 @@ def _bracket_leibniz_deviation(cfg, rng):
 def _cocycle_cup_commutator(cfg, rng):
     """For cocycles f, g of the dual-numbers algebra the cup commutator is
     the coboundary of (-1)**deg(g) f.g (an explicit preimage)."""
-    mu = dual_numbers_spec().mu
+    mu = _DUAL_NUMBERS.mu
     deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(2))
     f = _dual_cocycle(rng, deg_f)
     g = _dual_cocycle(rng, deg_g)
@@ -518,7 +520,7 @@ def _cocycle_cup_commutator(cfg, rng):
 def _cocycle_leibniz(cfg, rng):
     """For cocycles h, f, g the bracket-over-cup Leibniz deviation is the
     coboundary of -(-1)**deg(g) {h; f, g} (an explicit preimage)."""
-    mu = dual_numbers_spec().mu
+    mu = _DUAL_NUMBERS.mu
     deg_h, deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(3))
     h = _dual_cocycle(rng, deg_h)
     f = _dual_cocycle(rng, deg_f)

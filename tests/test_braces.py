@@ -1,18 +1,23 @@
-"""Brace layer: frozen scalar values plus an independent enumeration oracle.
+"""Brace layer: frozen scalar values plus two independent enumeration oracles.
 
-The brace oracles below sum over pairs/triples of slots of the OUTER
+The slot oracles below sum over pairs/triples of slots of the OUTER
 operation in their original positions (i < j < k) and shift the later
-insertion points by the reduced degrees of the earlier operands.  The
-implementation instead iterates over already-shifted indices, so agreement
-pins down the summation bounds from two derivations.
+insertion points by the reduced degrees of the earlier operands.
+brace_oracle instead recurses over already-shifted insertion points, one
+partial composition and one add per term, with the checks and errors of a
+loop over slots.  The library compiles each signature into stacked index
+gathers and matmuls, so agreement with both oracles pins down the summation
+bounds, the signs and the errors from independent derivations.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from operadics import braces
 from operadics.braces import (
     brace,
     bracket,
@@ -28,13 +33,18 @@ from operadics.errors import (
     DegreeMismatchError,
     DegreeUnderflowError,
     DimMismatchError,
+    OperadError,
+    SizeCapError,
     VarianceMismatchError,
 )
 from operadics.multiop import (
     COENDO,
     ENDO,
+    EXACT,
     FLOAT,
+    SIZE_CAP,
     MultiOp,
+    _check_pair,
     add,
     apply,
     identity_op,
@@ -95,7 +105,7 @@ def tetrabrace_oracle(h, f, g, b):
     return out
 
 
-def brace_oracle(h, *gs):
+def slot_tuple_oracle(h, *gs):
     """Sum over original slot tuples i1 < ... < ik of h, later slots shifted
     by the reduced degrees of the operands inserted before them."""
     out = zero_op(
@@ -111,6 +121,50 @@ def brace_oracle(h, *gs):
             shift += g.reduced_degree
         out = add(out, term)
     return out
+
+
+def brace_oracle(h, *gs):
+    """h{gs} by one partial composition per insertion point and one add per
+    term, in lexicographic order of the shifted insertion points."""
+    for outer, inner in zip((h, *gs), gs):
+        _check_pair(outer, inner)
+    if not gs:
+        return h
+    out = _insert(None, h, gs, 0)
+    if out is None:
+        degree = h.degree + sum(g.reduced_degree for g in gs)
+        if degree < 0:
+            raise DegreeUnderflowError(f"result would have degree {degree}")
+        return zero_op(h.dim, degree, h.variance, h.backend)
+    return out
+
+
+def _insert(out, op, gs, start):
+    """Add to out every term with gs[0] in a slot of op at or after start."""
+    g, rest = gs[0], gs[1:]
+    for i in range(start, op.degree - len(rest)):
+        term = partial_compose(op, g, i)
+        if rest:
+            out = _insert(out, term, rest, i + g.degree)
+        else:
+            out = term if out is None else add(out, term)
+    return out
+
+
+def bracket_oracle(f, g):
+    sign = sign_pow(f.reduced_degree * g.reduced_degree)
+    return sub(brace_oracle(f, g), scale(sign, brace_oracle(g, f)))
+
+
+def cup_oracle(mu, f, g):
+    if mu.degree != 2:
+        raise DegreeMismatchError(f"mu must have degree 2, got {mu.degree}")
+    _check_pair(mu, f)
+    _check_pair(f, g)
+    return scale(
+        sign_pow(f.degree),
+        partial_compose(partial_compose(mu, f, 0), g, f.degree),
+    )
 
 
 def _scalar(value, degree):
@@ -229,12 +283,12 @@ def test_brace_matches_slot_tuple_oracle():
                 continue
             h = random_op(rng, d, deg_h, ENDO)
             gs = [random_op(rng, d, n, ENDO) for n in degs]
-            assert brace(h, *gs) == brace_oracle(h, *gs), f"k {k} seed {seed}"
+            assert brace(h, *gs) == slot_tuple_oracle(h, *gs), f"k {k} seed {seed}"
 
 
 def test_brace_of_nothing_is_the_operation():
     h = random_op(random.Random(5), 2, 3, ENDO)
-    assert brace(h) == h == brace_oracle(h)
+    assert brace(h) == h == slot_tuple_oracle(h) == brace_oracle(h)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -247,20 +301,14 @@ def test_empty_brace_is_zero_of_nominal_degree_or_underflows(k):
         brace(h, *[_scalar(3, 0)] * k)
 
 
-def test_brace_computes_no_dead_insertions(monkeypatch):
-    # every partial composition is a prefix of some term: with four slots
-    # and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4 third
-    # insertions
-    calls = []
-
-    def counting(f, g, i):
-        calls.append(i)
-        return partial_compose(f, g, i)
-
-    monkeypatch.setattr("operadics.braces.partial_compose", counting)
+def test_brace_computes_no_dead_insertions():
+    # every product a stage computes is a prefix of some term: with four
+    # slots and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4
+    # third insertions (in dim 1 each prefix gathers one row)
+    gathers, _, _ = braces._compile(1, 4, (1, 1, 1), 1)
+    assert [len(index) for index in gathers] == [2, 3, 4]
     one = _scalar(1, 1)
     assert brace(_scalar(1, 4), one, one, one).coeffs[0] == 4
-    assert len(calls) == 2 + 3 + 4
 
 
 def test_brace_rejects_mismatched_operands():
@@ -296,6 +344,132 @@ def test_named_braces_equal_the_kernel_on_floats():
     for named, kernel in pairs:
         assert np.array_equal(named.coeffs, kernel.coeffs)
     assert np.array_equal(tribrace(h, f, g).coeffs, tribrace_oracle(h, f, g).coeffs)
+
+
+# --- the compiled kernel against brace_oracle ----------------------------
+
+
+def _outcome(fn, *args):
+    """The op fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except OperadError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want, context):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want, context
+        return
+    assert (got.dim, got.degree, got.variance, got.backend) == (
+        want.dim,
+        want.degree,
+        want.variance,
+        want.backend,
+    ), context
+    if want.backend == EXACT:
+        assert got == want, context
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), context
+    else:
+        bound = 1e-12 * max(1.0, float(np.abs(want.coeffs).max()))
+        assert np.abs(got.coeffs - want.coeffs).max() <= bound, context
+
+
+def _stage_sizes(d, deg_h, degs):
+    degree, sizes = deg_h, [d ** (deg_h + 1)]
+    for n in degs:
+        sizes.append(d ** (degree + n))
+        degree += n - 1
+    return sizes
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_braces_match_the_oracle_on_random_signatures(backend):
+    # dims 1-3, k = 0-4; underflows and size-cap errors included, but no
+    # stage below the cap computes more than 3**7 coefficients
+    checked = errors = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        d = rng.randint(1, 3)
+        k = rng.randint(0, 4)
+        deg_h = rng.randint(0, k + 2)
+        degs = [rng.randint(0, 3) for _ in range(k)]
+        if d == 3 and rng.random() < 0.3:
+            degs = [rng.randint(0, 9) for _ in range(k)]
+        computed = [s for s in _stage_sizes(d, deg_h, degs) if s <= SIZE_CAP]
+        if max(computed) > 3**7 and len(computed) == k + 1:
+            continue
+        h = random_op(rng, d, deg_h, ENDO, backend)
+        gs = [random_op(rng, d, n, ENDO, backend) for n in degs]
+        want = _outcome(brace_oracle, h, *gs)
+        _assert_same(_outcome(brace, h, *gs), want, (seed, d, deg_h, degs))
+        checked += 1
+        errors += isinstance(want, tuple)
+        if k >= 2:
+            _assert_same(
+                _outcome(cup, h, gs[0], gs[1]),
+                _outcome(cup_oracle, h, gs[0], gs[1]),
+                ("cup", seed),
+            )
+        if k >= 1:
+            _assert_same(
+                _outcome(bracket, h, gs[0]),
+                _outcome(bracket_oracle, h, gs[0]),
+                ("bracket", seed),
+            )
+    assert checked > 300 and 20 < errors < checked / 2
+
+
+def test_brace_errors_match_the_oracle_at_the_size_cap():
+    rng = random.Random(4)
+    h2, g1 = random_op(rng, 2, 2, ENDO), random_op(rng, 2, 1, ENDO)
+    g0, g15 = random_op(rng, 2, 0, ENDO), random_op(rng, 2, 15, ENDO)
+    cases = [
+        # the first stage is over the cap; the degree-0 operand after it
+        # would bring the result back to 2**16 coefficients
+        (brace, brace_oracle, (h2, g15, g0)),
+        # the second stage is over the cap, the first is computed
+        (brace, brace_oracle, (h2, g1, g15)),
+        # no terms: the zero op of the nominal degree is over the cap
+        (brace, brace_oracle, (g0, g15, g15)),
+        # no terms and a negative nominal degree
+        (brace, brace_oracle, (g0, g0)),
+        (bracket, bracket_oracle, (g0, g0)),
+        (bracket, bracket_oracle, (g15, h2)),
+        (cup, cup_oracle, (h2, g15, g0)),
+        (cup, cup_oracle, (g1, g0, g0)),
+    ]
+    for fn, oracle, args in cases:
+        want = _outcome(oracle, *args)
+        assert isinstance(want, tuple), (fn.__name__, want)
+        assert _outcome(fn, *args) == want
+    assert _outcome(brace, h2, g15, g0) == (
+        SizeCapError,
+        "composition result needs 131072 coefficients, cap is 65536",
+    )
+
+
+def test_float_tribrace_at_the_size_cap_runs_in_bounded_memory():
+    # C(13, 2) = 78 terms of 2**16 coefficients: unchunked, the stacks of
+    # this sum peak at about 216 MiB; in chunks of _STACK_ENTRIES at 8 MiB
+    rng = random.Random(78)
+    h = random_op(rng, 2, 13, ENDO, FLOAT)
+    f, g = (random_op(rng, 2, 2, ENDO, FLOAT) for _ in range(2))
+    want = brace_oracle(h, f, g)
+    tracemalloc.start()
+    try:
+        got = tribrace(h, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.coeffs.size == SIZE_CAP
+    _assert_same(got, want, "tribrace")
+    assert peak < 12 * 2**20
+
+
+def test_plan_cache_is_bounded():
+    maxsize = braces._compile.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
 
 
 # --- evaluation-level checks ---------------------------------------------

@@ -96,6 +96,16 @@ def test_verify_corrupt_sign_fails_with_exit_one():
     assert "FAIL" in r.stdout
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_verify_at_the_size_cap_is_a_size_error(backend):
+    # degree-8 operands nest brackets past the cap in the Jacobi suite
+    r = run_cli("verify", "--backend", backend, "--max-degree", "8", "--cases", "2")
+    assert r.returncode == 2
+    assert r.stderr == (
+        "error: composition result needs 524288 coefficients, cap is 65536\n"
+    )
+
+
 def test_verify_rejects_bad_config():
     assert run_cli("verify", "--dim", "0").returncode == 2
     assert run_cli("verify", "--cases", "-3").returncode == 2
@@ -545,6 +555,31 @@ PINNED = [
         ("verify", "--cases", "4", "--backend", "float"),
         0,
         "170f3587b540b442049feafe396c97257727ac38ff1bcc0672e97ea66aec5fbc",
+    ),
+    (
+        ("verify", "--backend", "float", "--cases", "4"),
+        0,
+        "170f3587b540b442049feafe396c97257727ac38ff1bcc0672e97ea66aec5fbc",
+    ),
+    (
+        ("verify", "--dim", "3", "--max-degree", "2", "--cases", "4"),
+        0,
+        "1e9674998507cceb0fa741900077c37cc1fba97323628f362828c459bbe8eb80",
+    ),
+    (
+        (
+            "verify",
+            "--backend",
+            "float",
+            "--dim",
+            "3",
+            "--max-degree",
+            "2",
+            "--cases",
+            "4",
+        ),
+        0,
+        "650e491cd2852d1adfa1c24980a0a897884888c17e1f546fff3d871194e35c12",
     ),
     (
         ("cohomology", "--algebra", "field.json"),

@@ -44,7 +44,7 @@ from operadics.errors import (
     ParseError,
     SizeCapError,
 )
-from operadics.multiop import ENDO, MultiOp, is_zero
+from operadics.multiop import ENDO, MultiOp, is_zero, zero_op
 from operadics.scalars import format_exact
 
 
@@ -513,6 +513,24 @@ def test_random_cocycles_are_cocycles():
     for _ in range(20):
         f = random_cocycle(rng, spec, rng.choice([1, 2, 3]))
         assert is_zero(coboundary(spec.mu, f))
+
+
+def test_random_cocycle_matches_the_weighted_sum_of_its_basis():
+    # the weights are drawn in basis order, and the result equals the sum
+    # of weight * basis op added one at a time, value and Python type alike
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    halves = [MultiOp(2, 1, ENDO, [Fraction(k, 2) for k in range(4)])] * 2
+    for degree, basis in [(1, None), (2, None), (3, None), (1, halves), (1, [])]:
+        if basis is None:
+            basis = cocycle_basis(spec, degree)
+        rng, twin = random.Random(degree), random.Random(degree)
+        got = random_cocycle(rng, spec, degree, basis)
+        want = zero_op(spec.dim, degree)
+        for b in basis:
+            want = want + twin.randint(-3, 3) * b
+        assert got == want
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+        assert rng.random() == twin.random()
 
 
 def test_is_coboundary_recovers_constructed_images():
