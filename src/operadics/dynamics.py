@@ -9,9 +9,13 @@ constant M, and the invariant observers used to check isospectrality.
 
 The integrator works on the float backend throughout.  The Lax right-hand
 side is linear in L and the classical state follows a constant linear field,
-so the whole right-hand side is one matrix on a sample row (state, L),
-built once per run by index arithmetic on M.  A run fills one preallocated
-array, a row per sample, and each observer then runs once over all rows.
+so the whole right-hand side is one sparse linear map on a sample row
+(state, L): (row, column, value) triplets, one per (row, column) pair,
+built once per run by index arithmetic on M and never densified.  On a
+constant linear field RK4 is its stability polynomial, so each step is
+that polynomial in Horner form, four triplet products.  A run fills one
+preallocated array, a row per sample, and each observer then runs once
+over all rows.
 """
 
 from __future__ import annotations
@@ -189,72 +193,98 @@ def _as_float(op: MultiOp) -> MultiOp:
     return MultiOp(op.dim, op.degree, op.variance, op.coeffs.astype(np.float64))
 
 
-def _rhs_operator(m: MultiOp, degree: int, state_matrix=()) -> np.ndarray:
-    """Matrix of the whole right-hand side on a sample row (state, L).
+def _rhs_triplets(m: MultiOp, degree: int, state_matrix=()):
+    """The whole right-hand side on a sample row (state, L) as sparse triplets.
 
-    The state block is state_matrix.  The L block is L -> M.L - L.M, summed
-    from (row, column, value) triplets by index arithmetic on the flat
+    Returns (rows, cols, vals, width): the operator maps a row v of width
+    entries to np.bincount(rows, vals * v[cols], width), and no dense
+    width x width array is made.  The state block, state_matrix, comes
+    first.  The L block is L -> M.L - L.M by index arithmetic on the flat
     layout: the output slot takes M[x, y], and each input slot k takes
     -M[y, x], between flat indices that differ only in digit k (x in the
-    row, y in the column).  One bincount sums the triplets, so the matrix is
-    the only size x size array made.
+    row, y in the column).  Where y = x every slot lands on the diagonal,
+    so each row holds one merged diagonal entry M[x0, x0] - sum_k M[xk, xk]
+    and (degree + 1)(d - 1) off-diagonal ones: every (row, col) pair occurs
+    once.  All three arrays are filled in place, row by row.
     """
     d = m.dim
     mat = np.asarray(m.coeffs, dtype=np.float64).reshape(d, d)
     ns, size = len(state_matrix), d ** (degree + 1)
-    width = ns + size
-    # weight of digit k of a flat index; digit 0 is the output
-    place = (d ** np.arange(degree, -1, -1))[:, None]
-    row = np.arange(size)[:, None, None]
-    x = row // place % d
-    y = np.arange(d)
-    col = row + (y - x) * place
-    val = -mat[y, x]
-    val[:, 0] = mat[x[:, 0], y]
+    per_row, head = 1 + (degree + 1) * (d - 1), ns * ns
+    rows = np.empty(head + size * per_row, dtype=np.intp)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows))
     state = np.arange(ns)
-    index = np.concatenate(
-        [
-            (state[:, None] * width + state).ravel(),
-            ((row + ns) * width + (col + ns)).ravel(),
-        ]
-    )
-    weights = np.concatenate([np.ravel(state_matrix), val.ravel()])
-    return np.bincount(index, weights, minlength=width * width).reshape(width, width)
+    rows[:head] = np.repeat(state, ns)
+    cols[:head] = np.tile(state, ns)
+    vals[:head] = np.ravel(state_matrix)
+    flat = np.arange(size)
+    row = flat + ns
+    rows[head:].reshape(size, per_row)[:] = row[:, None]
+    col = cols[head:].reshape(size, per_row)
+    val = vals[head:].reshape(size, per_row)
+    # weight of digit k of a flat index; digit 0 is the output
+    place = d ** np.arange(degree, -1, -1)
+    x = flat[:, None] // place % d
+    diag = np.diagonal(mat)
+    col[:, 0] = row
+    val[:, 0] = diag[x[:, 0]] - diag[x[:, 1:]].sum(axis=1)
+    # slot k moves digit x to y = x + s mod d, s = 1 .. d - 1; y is built in
+    # the column block and turned into the column index there
+    y = col[:, 1:].reshape(size, degree + 1, d - 1)
+    off = val[:, 1:].reshape(size, degree + 1, d - 1)
+    np.add(x[:, :, None], np.arange(1, d), out=y)
+    y %= d
+    off[:, 0] = mat[x[:, :1], y[:, 0]]
+    off[:, 1:] = -mat.T[x[:, 1:, None], y[:, 1:]]
+    y -= x[:, :, None]
+    y *= place[:, None]
+    y += row[:, None, None]
+    return rows, cols, vals, ns + size
 
 
 def integrate(system: LaxSystem) -> Trajectory:
     """Fixed-step RK4 on the coupled (state, L) system, sampling every step.
 
-    Sample j is row j of one preallocated array; each step is four products
-    with the constant right-hand-side operator.  The rows are checked for
-    finiteness once per block of _CHECK_STEPS steps.
+    The right-hand side is a constant linear field y' = Ay, and on such a
+    field the classical four-stage RK4 step is exactly its stability
+    polynomial, y + hA y + (hA)^2 y / 2 + (hA)^3 y / 6 + (hA)^4 y / 24.
+    Each step evaluates it in Horner form,
+    y + hA(y + hA/2 (y + hA/3 (y + hA/4 y))), four products with the
+    sparse triplets of _rhs_triplets whose weights hA/j are scaled once per
+    run.  Sample j is row j of one preallocated array.  The rows are
+    checked for finiteness once per block of _CHECK_STEPS steps.
     """
-    op = _rhs_operator(_as_float(system.m), system.l0.degree, system.state_matrix)
+    rows, cols, vals, width = _rhs_triplets(
+        _as_float(system.m), system.l0.degree, system.state_matrix
+    )
     ns = len(system.state0)
     dt, steps = system.dt, system.steps
-    rows = np.empty((steps + 1, len(op)))
-    rows[0, :ns] = system.state0
-    rows[0, ns:] = system.l0.coeffs
-    half, sixth = dt / 2.0, dt / 6.0
+    vals *= dt
+    # innermost factor first: hA/4, hA/3, hA/2, hA
+    weights = (vals / 4.0, vals / 3.0, vals / 2.0, vals)
+    traj = np.empty((steps + 1, width))
+    traj[0, :ns] = system.state0
+    traj[0, ns:] = system.l0.coeffs
     # overflow surfaces as the NonFiniteError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _CHECK_STEPS):
             stop = min(start + _CHECK_STEPS, steps)
             for k in range(start, stop):
-                y = rows[k]
-                k1 = op @ y
-                k2 = op @ (y + half * k1)
-                k3 = op @ (y + half * k2)
-                k4 = op @ (y + dt * k3)
-                np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=rows[k + 1])
-            finite = np.isfinite(rows[start : stop + 1]).all(axis=1)
+                y = u = traj[k]
+                for w in weights:
+                    terms = u[cols]
+                    terms *= w
+                    u = y + np.bincount(rows, terms, width)
+                traj[k + 1] = u
+            finite = np.isfinite(traj[start : stop + 1]).all(axis=1)
             if not finite.all():
                 first_bad = start + int(finite.argmin())
                 raise NonFiniteError(f"non-finite coefficients at t = {first_bad * dt}")
-    coeffs = rows[:, ns:]
+    coeffs = traj[:, ns:]
     return Trajectory(
         t=np.arange(steps + 1) * dt,
-        state=rows[:, :ns],
+        state=traj[:, :ns],
         coeffs=coeffs,
         invariants={
             name: evaluate_observer(name, coeffs, system.m.dim)

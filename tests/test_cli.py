@@ -7,6 +7,8 @@ asserted for each documented failure class.
 import hashlib
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -358,6 +360,44 @@ def test_diverging_flow_stops_at_its_first_non_finite_block(tmp_path):
     r = run_cli("lax", "--system", str(path), timeout=10)
     assert_one_line_error(r, 5)
     assert r.stderr == "error: non-finite coefficients at t = 0.069\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_lax_at_the_size_cap_runs_in_bounded_memory(tmp_path):
+    # dim 2, degree 15 is 65536 coefficients, the size cap; the operator on
+    # them is 1.1M triplets, where a dense matrix would take 32 GiB. The run
+    # gets a 1 GiB address-space limit and one BLAS thread, whose buffers
+    # would otherwise count against it.
+    degree = 15
+    l0 = np.random.default_rng(15).uniform(-1.0, 1.0, 2 ** (degree + 1))
+    doc = {"dim": 2, "M": [0.0, -1.0, 1.0, 0.0]}
+    doc.update(L0={"degree": degree, "coeffs": l0.tolist()}, dt=1e-3, t_end=1e-2)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(doc))
+    r = subprocess.run(
+        [sys.executable, "-m", "operadics.cli", "lax", "--system", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 12
+    last = np.array(lines[-1].split(","), dtype=np.float64)
+    # closed form: exp(tM) is the rotation by t, applied to the output index
+    # and its inverse to every input index
+    t = last[0]
+    c, s = math.cos(t), math.sin(t)
+    forward, backward = np.array([[c, -s], [s, c]]), np.array([[c, s], [-s, c]])
+    want = np.tensordot(forward, l0.reshape((2,) * (degree + 1)), axes=(1, 0))
+    for k in range(1, degree + 1):
+        want = np.moveaxis(np.tensordot(want, backward, axes=(k, 0)), -1, k)
+    assert np.abs(last[1:] - want.ravel()).max() <= 1e-6
 
 
 def test_cell_cap_is_a_config_error(tmp_path):

@@ -1,6 +1,7 @@
-"""Lax flows: right-hand sides against kron oracles, the operator against
-its basis-vector build, stacked observers against per-sample ones, RK4
-against the closed-form conjugation solution, and the file loaders.
+"""Lax flows: right-hand sides against kron oracles, the operator's
+triplets against its basis-vector build, the Horner step against the RK4
+stage form, stacked observers against per-sample ones, RK4 against the
+closed-form conjugation solution, and the file loaders.
 """
 
 import json
@@ -15,7 +16,7 @@ from operadics import dynamics
 from operadics.braces import mu_squared
 from operadics.dynamics import (
     LaxSystem,
-    _rhs_operator,
+    _rhs_triplets,
     conjugation_oracle,
     evaluate_observer,
     integrate,
@@ -106,6 +107,18 @@ def rhs_matrix_oracle(m, degree):
     return out
 
 
+def densify(rows, cols, vals, width):
+    """The dense matrix of triplets; repeated pairs would add up."""
+    out = np.zeros((width, width))
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
+def assert_pairs_distinct(rows, cols, width):
+    flat = rows * width + cols
+    assert len(np.unique(flat)) == len(flat)
+
+
 def test_rhs_operator_matches_the_basis_vector_build():
     # random M, not only antisymmetric; dim 3 stops at degree 6 (2187
     # coefficients), since the two dense matrices of degree 8 take 6 GiB
@@ -116,27 +129,76 @@ def test_rhs_operator_matches_the_basis_vector_build():
             if d ** (degree + 1) > 2187:
                 break
             want = rhs_matrix_oracle(m, degree)
-            got = _rhs_operator(m, degree)
+            rows, cols, vals, width = _rhs_triplets(m, degree)
+            assert width == len(want)
+            # one merged diagonal entry and (degree + 1)(d - 1) others a row
+            assert len(rows) == width * (1 + (degree + 1) * (d - 1))
+            assert_pairs_distinct(rows, cols, width)
+            got = densify(rows, cols, vals, width)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_rhs_operator_of_huge_degree_in_dim_one():
-    # the output slot adds m and each of the 60000 input slots subtracts it;
-    # a loop over slots would take most of a second here
+    # the output slot adds m and each of the 60000 input slots subtracts it,
+    # merged into one diagonal entry; a loop over slots would take most of a
+    # second here
     m = _float_op(1, 1, [0.7])
-    got = _rhs_operator(m, 60000)
-    assert got.shape == (1, 1)
-    assert got[0, 0] == pytest.approx(0.7 * (1 - 60000), rel=1e-12)
+    rows, cols, vals, width = _rhs_triplets(m, 60000)
+    assert width == 1 and rows.tolist() == cols.tolist() == [0]
+    assert vals[0] == pytest.approx(0.7 * (1 - 60000), rel=1e-12)
 
 
 def test_rhs_operator_places_the_state_block_first():
     m = _rotation_m()
     state = ((0.0, 1.0), (-4.0, 0.0))
-    got = _rhs_operator(m, 2, state)
-    assert got.shape == (10, 10)
+    rows, cols, vals, width = _rhs_triplets(m, 2, state)
+    assert width == 10
+    assert_pairs_distinct(rows, cols, width)
+    # the four state entries lead, then the L block shifted by two
+    assert (rows[:4] < 2).all() and (cols[:4] < 2).all()
+    assert (rows[4:] >= 2).all() and (cols[4:] >= 2).all()
+    got = densify(rows, cols, vals, width)
     assert got[:2, :2].tolist() == [list(r) for r in state]
     assert not got[:2, 2:].any() and not got[2:, :2].any()
-    assert np.array_equal(got[2:, 2:], _rhs_operator(m, 2))
+    assert np.array_equal(got[2:, 2:], densify(*_rhs_triplets(m, 2)))
+
+
+def rk4_stage_oracle(op, y, dt, steps):
+    """Classical four-stage RK4 on y' = op @ y; returns every sample."""
+    out = [y]
+    for _ in range(steps):
+        k1 = op @ y
+        k2 = op @ (y + dt / 2.0 * k1)
+        k3 = op @ (y + dt / 2.0 * k2)
+        k4 = op @ (y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_horner_steps_match_the_rk4_stage_form():
+    # on a constant linear field the Horner form is the stage form, up to
+    # rounding
+    rng = random.Random(4)
+    state0, state_matrix = (0.3, -1.2), ((0.1, 1.0), (-2.0, 0.4))
+    for d, degree in ((1, 3), (2, 1), (2, 3), (3, 2)):
+        m = random_op(rng, d, 1, ENDO, FLOAT)
+        l0 = random_op(rng, d, degree, ENDO, FLOAT)
+        oracle = rhs_matrix_oracle(m, degree)
+        for ns in (0, 2):
+            system = LaxSystem(
+                m=m, l0=l0, dt=0.05, t_end=0.25,
+                state0=state0[:ns], state_matrix=state_matrix[:ns],
+            )
+            op = np.zeros((ns + len(oracle),) * 2)
+            op[:ns, :ns] = state_matrix[:ns]
+            op[ns:, ns:] = oracle
+            y0 = np.concatenate([state0[:ns], l0.coeffs])
+            want = rk4_stage_oracle(op, y0, 0.05, 5)
+            traj = integrate(system)
+            got = np.hstack([traj.state, traj.coeffs])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # --- observers ---------------------------------------------------------------
@@ -323,15 +385,15 @@ def test_divergent_run_raises_non_finite():
         integrate(LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0))
     assert str(info.value) == "non-finite coefficients at t = 0.30000000000000004"
     # dim 1, degree 4, M = 1: the operator is 1 - 4 = -3, so each RK4 step
-    # multiplies L by 1.375; the scalar recursion finds the first bad step,
-    # which lies past the first two blocks of steps the integrator checks
+    # multiplies L by 1.375; the scalar Horner recursion finds the first bad
+    # step, which lies past the first two blocks of steps the integrator
+    # checks
     step, y = 0, 1.0
     while math.isfinite(y):
-        k1 = -3.0 * y
-        k2 = -3.0 * (y + 0.5 * k1)
-        k3 = -3.0 * (y + 0.5 * k2)
-        k4 = -3.0 * (y + k3)
-        y = y + (1.0 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = y
+        for w in (-3.0 / 4.0, -3.0 / 3.0, -3.0 / 2.0, -3.0):
+            u = y + w * u
+        y = u
         step += 1
     assert 2 * dynamics._CHECK_STEPS < step < 3 * dynamics._CHECK_STEPS
     m, l0 = _float_op(1, 1, [1.0]), _float_op(1, 4, [1.0])
