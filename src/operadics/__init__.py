@@ -82,6 +82,7 @@ from .multiop import (
     FLOAT,
     MAX_CELLS,
     MAX_STEPS,
+    MAX_TRIPLETS,
     SIZE_CAP,
     MultiOp,
     add,

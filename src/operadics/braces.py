@@ -20,38 +20,17 @@ and on top of them
 
 Empty brace sums return the zero op of the nominal degree; if that degree
 would be negative the brace raises DegreeUnderflowError instead.
-
-A brace is not evaluated one partial composition at a time.  Its terms
-depend only on the signature (dim, deg h, deg g1..deg gk, sign), which is
-compiled once into an index plan.  Stage j gathers, for every live prefix of
-insertion points, the slot that gj fills as the last axis of a stack, and
-one matmul with gj as a (dim, dim**deg gj) matrix computes the whole stage.
-The last stage gathers from [P, -P], so each term's Koszul sign is a choice
-of index, and yields the (terms, coefficients) stack of signed terms.  The
-sums add its rows in the lexicographic order of the insertion points.  A
-sum whose stacks would exceed _STACK_ENTRIES runs in chunks of terms, and
-only plans of at most _CACHED_ENTRIES indices are kept.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import DegreeMismatchError, DegreeUnderflowError, SizeCapError
-from .multiop import SIZE_CAP, MultiOp, _check_pair, sub, zero_op
+from .errors import DegreeMismatchError, DegreeUnderflowError
+from .multiop import MultiOp, _check_pair, _compile, _evaluate, _plan, sub, zero_op
 from .scalars import sign_pow
-
-# Largest stack of terms (gathered operands, products, signed terms) that
-# one chunk of a sum builds, in coefficients.
-_STACK_ENTRIES = 2**18
-
-# Plans the cache keeps, and the most index entries a kept plan may hold.
-_PLAN_CACHE = 512
-_CACHED_ENTRIES = 2**15
 
 
 def _require_mu(mu: MultiOp):
@@ -105,80 +84,6 @@ def _terms(h: MultiOp, gs, sign: int = 1):
     slots = combinations(range(h.degree), len(gs))
     chunks = iter(lambda: list(islice(slots, plan)), [])
     return (_evaluate(_plan(h.dim, h.degree, degs, sign, rows), h, gs) for rows in chunks)
-
-
-@lru_cache(maxsize=_PLAN_CACHE)
-def _compile(d: int, deg_h: int, degs: tuple, sign: int):
-    """The plan of a signature with deg_h >= len(degs), or, when its stacks
-    or its indices are too large to keep, the number of terms per chunk."""
-    degree, sizes = deg_h, [d ** (deg_h + 1)]
-    for n in degs:
-        size = d ** (degree + n)
-        if size > SIZE_CAP:
-            raise SizeCapError(
-                f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
-            )
-        sizes.append(size)
-        degree += n - 1
-    count = math.comb(deg_h, len(degs))
-    per_chunk = max(1, _STACK_ENTRIES // (2 * max(sizes)))
-    if count <= per_chunk and count * sum(sizes) <= _CACHED_ENTRIES:
-        return _plan(d, deg_h, degs, sign, list(combinations(range(deg_h), len(degs))))
-    return per_chunk
-
-
-def _evaluate(plan, h: MultiOp, gs) -> np.ndarray:
-    """The (terms, coefficients) stack of one plan's signed terms."""
-    gathers, signed, out = plan
-    src = h.coeffs
-    for index, g in zip(gathers, gs):
-        src = np.matmul(src[index], g.coeffs.reshape(g.dim, -1)).reshape(-1)
-    if signed:
-        src = np.concatenate((src, -src))
-    return src[out]
-
-
-def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
-    """Index plan for the terms whose original slots of h are the rows.
-
-    A row i1 < ... < ik of slots of h is the term that inserts gj at the
-    shifted point ij + sum of |g| before it.  Each stage keeps, per live
-    prefix of insertion points, a layout: the flat position in the stage's
-    product of every coefficient of the prefix's partial result.  Returns
-    (one gather index per stage, whether any term is negative, output index).
-    """
-    slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
-    slots += np.cumsum((0,) + tuple(n - 1 for n in degs[:-1]))
-    layout = np.arange(d ** (deg_h + 1))[None]
-    parent = np.zeros(len(slots), dtype=np.intp)
-    gathers = []
-    m = deg_h
-    for j, n in enumerate(degs):
-        new = np.ones(len(slots), dtype=bool)
-        new[1:] = (slots[1:, : j + 1] != slots[:-1, : j + 1]).any(axis=1)
-        first = np.flatnonzero(new)
-        slot = slots[first, j][:, None, None]
-        # slot i of a degree-m layout as the last axis: (prefix, rest, slot)
-        w = d ** (m - 1 - slot)
-        rest = np.arange(d**m)[None, :, None]
-        moved = (rest // w) * w * d + np.arange(d)[None, None, :] * w + rest % w
-        gathers.append(layout[parent[first][:, None, None], moved].reshape(-1, d))
-        # child layout: (a b1..bi, c1..cn, rest) read from the product row
-        # (a b1..bi rest, c1..cn) of its prefix
-        span, size = d**n, d ** (m + n)
-        pos = np.arange(size)[None, :]
-        w = w[:, :, 0]
-        row = (pos // (span * w)) * w + pos % w
-        layout = np.arange(len(first))[:, None] * size + row * span + (pos // w) % span
-        parent = np.cumsum(new) - 1
-        m += n - 1
-    odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
-    negative = odd if sign > 0 else ~odd
-    signed = bool(negative.any())
-    out = layout + negative[:, None] * layout.size if signed else layout
-    for index in (*gathers, out):
-        index.setflags(write=False)
-    return tuple(gathers), signed, out
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:

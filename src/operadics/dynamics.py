@@ -40,6 +40,7 @@ from .multiop import (
     ENDO,
     MAX_CELLS,
     MAX_STEPS,
+    MAX_TRIPLETS,
     SIZE_CAP,
     MultiOp,
     partial_compose,
@@ -157,6 +158,10 @@ class LaxSystem:
         if len(self.state_matrix) != n or any(len(r) != n for r in self.state_matrix):
             raise ConfigError(f"state_matrix must be {n} x {n}, matching state0")
         # checked before the operator or the trajectory is allocated
+        per_row = 1 + (self.l0.degree + 1) * (self.m.dim - 1)
+        entries = n * n + self.l0.coeffs.size * per_row
+        if entries > MAX_TRIPLETS:
+            raise ConfigError(f"Lax operator of {entries} triplets, cap is {MAX_TRIPLETS}")
         cells = (self.steps + 1) * (n + len(self.observe) + self.l0.coeffs.size)
         if cells > MAX_CELLS:
             raise ConfigError(

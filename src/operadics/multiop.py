@@ -18,16 +18,28 @@ where |g| = deg g - 1 is the reduced degree.  In this flat layout the
 endomorphism and coendomorphism contractions coincide: g's primary index
 always contracts into slot i of f's secondary block.
 
+Every contraction runs on one kernel, the index plan of a brace signature
+(dim, deg h, deg g1..deg gk, sign), compiled once.  Stage j gathers, for
+every live prefix of insertion points, the slot gj fills as the last axis
+of a stack, and one matmul with gj as a (dim, dim**deg gj) matrix computes
+the stage.  The last stage gathers from [P, -P], so each term's Koszul sign
+is a choice of index.  partial_compose is the plan of one term.  A sum
+whose stacks would exceed _STACK_ENTRIES runs in chunks of terms, and only
+plans of at most _CACHED_ENTRIES indices are kept.
+
 Exact coefficients are Python ints or Fractions held in object arrays, so
 they never overflow; the float backend uses float64.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +54,6 @@ from .errors import (
     SlotOutOfRangeError,
     VarianceMismatchError,
 )
-from .scalars import sign_pow
 
 ENDO = "endo"
 COENDO = "coendo"
@@ -61,6 +72,18 @@ MAX_STEPS = 1_000_000
 # observers + coefficients).  It admits `oscillator --degree 1` at MAX_STEPS
 # (7 values a sample) and bounds the trajectory at 128 MiB of float64.
 MAX_CELLS = 2**24
+
+# Hard cap on the (row, column, value) triplets of a Lax right-hand side; at
+# about 48 bytes an entry it keeps a run's triplet arrays near 400 MiB.
+MAX_TRIPLETS = 2**23
+
+# Largest stack of terms (gathered operands, products, signed terms) that
+# one chunk of a sum builds, in coefficients.
+_STACK_ENTRIES = 2**18
+
+# Plans the cache keeps, and the most index entries a kept plan may hold.
+_PLAN_CACHE = 512
+_CACHED_ENTRIES = 2**15
 
 
 # Element types of an exact coefficient array.
@@ -267,9 +290,7 @@ def random_op(
     backend: str = EXACT,
 ) -> MultiOp:
     """Draw a random op: exact entries uniform in -3..3, float in [-1, 1)."""
-    size = dim ** (degree + 1)
-    if size > SIZE_CAP:
-        raise SizeCapError(f"dim {dim} degree {degree} exceeds the size cap")
+    size = _capped_size(dim, degree)
     if backend == FLOAT:
         data = np.array([rng.uniform(-1.0, 1.0) for _ in range(size)])
     else:
@@ -290,19 +311,86 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
         raise SlotOutOfRangeError("cannot compose into a degree-0 operation")
     if not 0 <= i <= m - 1:
         raise SlotOutOfRangeError(f"slot {i} outside 0..{m - 1}")
-    size = d ** (m + n)
-    if size > SIZE_CAP:
-        raise SizeCapError(
-            f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
-        )
-    # (a b1..bi, b(i+2)..bm, slot) @ (slot, g's inputs), then move g's inputs
-    # in front of the trailing slots of f
-    left = f.coeffs.reshape(d ** (i + 1), d, d ** (m - 1 - i)).transpose(0, 2, 1)
-    out = np.matmul(left, g.coeffs.reshape(d, d**n))
-    out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(size)
-    if sign_pow(i * (n - 1)) < 0:
-        np.negative(out, out=out)
-    return MultiOp._wrap(d, m + n - 1, f.variance, out)
+    plan = _compile(d, m, (n,), 1, (i,))
+    if isinstance(plan, int):
+        plan = _plan(d, m, (n,), 1, [(i,)])
+    return MultiOp._wrap(d, m + n - 1, f.variance, _evaluate(plan, f, (g,))[0])
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
+    """The plan of a signature with deg_h >= len(degs), or of its one term at
+    the given original slots of h, or, when its stacks or its indices are too
+    large to keep, the number of terms per chunk."""
+    degree, sizes = deg_h, [d ** (deg_h + 1)]
+    for n in degs:
+        size = d ** (degree + n)
+        if size > SIZE_CAP:
+            raise SizeCapError(
+                f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
+            )
+        sizes.append(size)
+        degree += n - 1
+    count = 1 if slots else math.comb(deg_h, len(degs))
+    per_chunk = max(1, _STACK_ENTRIES // (2 * max(sizes)))
+    if count <= per_chunk and count * sum(sizes) <= _CACHED_ENTRIES:
+        rows = [slots] if slots else list(combinations(range(deg_h), len(degs)))
+        return _plan(d, deg_h, degs, sign, rows)
+    return per_chunk
+
+
+def _evaluate(plan, h: MultiOp, gs) -> np.ndarray:
+    """The (terms, coefficients) stack of one plan's signed terms."""
+    gathers, signed, out = plan
+    src = h.coeffs
+    for index, g in zip(gathers, gs):
+        src = np.matmul(src[index], g.coeffs.reshape(g.dim, -1)).reshape(-1)
+    if signed:
+        src = np.concatenate((src, -src))
+    return src[out]
+
+
+def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
+    """Index plan for the terms whose original slots of h are the rows.
+
+    A row i1 < ... < ik of slots of h is the term that inserts gj at the
+    shifted point ij + sum of |g| before it.  Each stage keeps, per live
+    prefix of insertion points, a layout: the flat position in the stage's
+    product of every coefficient of the prefix's partial result.  Returns
+    (one gather index per stage, whether any term is negative, output index).
+    """
+    slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
+    slots += np.cumsum((0,) + tuple(n - 1 for n in degs[:-1]))
+    layout = np.arange(d ** (deg_h + 1))[None]
+    parent = np.zeros(len(slots), dtype=np.intp)
+    gathers = []
+    m = deg_h
+    for j, n in enumerate(degs):
+        new = np.ones(len(slots), dtype=bool)
+        new[1:] = (slots[1:, : j + 1] != slots[:-1, : j + 1]).any(axis=1)
+        first = np.flatnonzero(new)
+        slot = slots[first, j][:, None, None]
+        # slot i of a degree-m layout as the last axis: (prefix, rest, slot)
+        w = d ** (m - 1 - slot)
+        rest = np.arange(d**m)[None, :, None]
+        moved = (rest // w) * w * d + np.arange(d)[None, None, :] * w + rest % w
+        gathers.append(layout[parent[first][:, None, None], moved].reshape(-1, d))
+        # child layout: (a b1..bi, c1..cn, rest) read from the product row
+        # (a b1..bi rest, c1..cn) of its prefix
+        span, size = d**n, d ** (m + n)
+        pos = np.arange(size)[None, :]
+        w = w[:, :, 0]
+        row = (pos // (span * w)) * w + pos % w
+        layout = np.arange(len(first))[:, None] * size + row * span + (pos // w) % span
+        parent = np.cumsum(new) - 1
+        m += n - 1
+    odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
+    negative = odd if sign > 0 else ~odd
+    signed = bool(negative.any())
+    out = layout + negative[:, None] * layout.size if signed else layout
+    for index in (*gathers, out):
+        index.setflags(write=False)
+    return tuple(gathers), signed, out
 
 
 def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:

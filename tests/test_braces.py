@@ -7,17 +7,19 @@ brace_oracle instead recurses over already-shifted insertion points, one
 partial composition and one add per term, with the checks and errors of a
 loop over slots.  The library compiles each signature into stacked index
 gathers and matmuls, so agreement with both oracles pins down the summation
-bounds, the signs and the errors from independent derivations.
+bounds, the signs and the errors from independent derivations.  The oracles'
+partial_compose is itself the one-term plan; its independent oracle is the
+loop contraction of test_multiop.
 """
 
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from operadics import braces
+from operadics import multiop
 from operadics.braces import (
     brace,
     bracket,
@@ -305,7 +307,7 @@ def test_brace_computes_no_dead_insertions():
     # every product a stage computes is a prefix of some term: with four
     # slots and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4
     # third insertions (in dim 1 each prefix gathers one row)
-    gathers, _, _ = braces._compile(1, 4, (1, 1, 1), 1)
+    gathers, _, _ = multiop._compile(1, 4, (1, 1, 1), 1)
     assert [len(index) for index in gathers] == [2, 3, 4]
     one = _scalar(1, 1)
     assert brace(_scalar(1, 4), one, one, one).coeffs[0] == 4
@@ -468,7 +470,7 @@ def test_float_tribrace_at_the_size_cap_runs_in_bounded_memory():
 
 
 def test_plan_cache_is_bounded():
-    maxsize = braces._compile.cache_info().maxsize
+    maxsize = multiop._compile.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
 
 
@@ -519,6 +521,32 @@ def test_associator_splits_into_symmetrized_tribraces():
             ),
         )
         assert lhs == rhs, f"seed {seed}"
+
+
+def test_higher_brace_relation():
+    # Gerstenhaber-Voronov: (h{f}){g1..gn} is the sum over 0 <= i <= j <= n
+    # of (-1)**(|f| (|g1| + .. + |gi|)) h{g1..gi, f{g(i+1)..gj}, g(j+1)..gn};
+    # a term whose inner or outer brace has more operands than slots is zero
+    checked = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        h, f = (random_op(rng, 2, rng.randint(lo, 3), ENDO) for lo in (1, 0))
+        n = rng.randint(0, 3)
+        gs = [random_op(rng, 2, rng.randint(0, 2), ENDO) for _ in range(n)]
+        degree = h.degree + f.reduced_degree + sum(g.reduced_degree for g in gs)
+        if degree < 0:
+            continue
+        rhs = zero_op(2, degree)
+        for i, j in combinations_with_replacement(range(len(gs) + 1), 2):
+            if j - i > f.degree or len(gs) - (j - i) + 1 > h.degree:
+                continue
+            term = brace(h, *gs[:i], brace(f, *gs[i:j]), *gs[j:])
+            shift = sum(g.reduced_degree for g in gs[:i])
+            rhs = add(rhs, scale(sign_pow(f.reduced_degree * shift), term))
+        lhs = brace(brace(h, f), *gs)
+        assert lhs == rhs, f"seed {seed}"
+        checked += not is_zero(lhs)
+    assert checked > 80
 
 
 def test_bracket_antisymmetry_and_jacobi_spot():

@@ -108,6 +108,12 @@ def test_verify_at_the_size_cap_is_a_size_error(backend):
     )
 
 
+def test_verify_over_the_size_cap_names_the_coefficient_count():
+    r = run_cli("verify", "--dim", "300")
+    assert_one_line_error(r, 2)
+    assert r.stderr == "error: dim 300 degree 1 needs 90000 coefficients, cap is 65536\n"
+
+
 def test_verify_rejects_bad_config():
     assert run_cli("verify", "--dim", "0").returncode == 2
     assert run_cli("verify", "--cases", "-3").returncode == 2
@@ -366,25 +372,29 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_lax_at_the_size_cap_runs_in_bounded_memory(tmp_path):
-    # dim 2, degree 15 is 65536 coefficients, the size cap; the operator on
-    # them is 1.1M triplets, where a dense matrix would take 32 GiB. The run
-    # gets a 1 GiB address-space limit and one BLAS thread, whose buffers
-    # would otherwise count against it.
-    degree = 15
-    l0 = np.random.default_rng(15).uniform(-1.0, 1.0, 2 ** (degree + 1))
-    doc = {"dim": 2, "M": [0.0, -1.0, 1.0, 0.0]}
-    doc.update(L0={"degree": degree, "coeffs": l0.tolist()}, dt=1e-3, t_end=1e-2)
-    path = tmp_path / "cap.json"
-    path.write_text(json.dumps(doc))
-    r = subprocess.run(
-        [sys.executable, "-m", "operadics.cli", "lax", "--system", str(path)],
+def run_cli_in_1gib(*args):
+    """run_cli under a 1 GiB address-space limit and one BLAS thread, whose
+    buffers would otherwise count against the limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "operadics.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
         preexec_fn=_limit_address_space,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
+
+
+def test_lax_at_the_size_cap_runs_in_bounded_memory(tmp_path):
+    # dim 2, degree 15 is 65536 coefficients, the size cap; the operator on
+    # them is 1.1M triplets, where a dense matrix would take 32 GiB.
+    degree = 15
+    l0 = np.random.default_rng(15).uniform(-1.0, 1.0, 2 ** (degree + 1))
+    doc = {"dim": 2, "M": [0.0, -1.0, 1.0, 0.0]}
+    doc.update(L0={"degree": degree, "coeffs": l0.tolist()}, dt=1e-3, t_end=1e-2)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli_in_1gib("lax", "--system", str(path))
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert len(lines) == 12
@@ -398,6 +408,20 @@ def test_lax_at_the_size_cap_runs_in_bounded_memory(tmp_path):
     for k in range(1, degree + 1):
         want = np.moveaxis(np.tensordot(want, backward, axes=(k, 0)), -1, k)
     assert np.abs(last[1:] - want.ravel()).max() <= 1e-6
+
+
+def test_triplet_cap_is_a_config_error(tmp_path):
+    # a dim-256 degree-1 L0 gives 33.5M triplets, over MAX_TRIPLETS; their
+    # arrays would take about 2 GiB, so the cap must reject the run before
+    # they are allocated, here under a 1 GiB address-space limit
+    dim = 256
+    doc = {"dim": dim, "M": [0.5] * dim**2, "dt": 1e-3, "t_end": 2e-3}
+    doc.update(L0={"degree": 1, "coeffs": [0.25] * dim**2})
+    path = tmp_path / "dim256.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli_in_1gib("lax", "--system", str(path))
+    assert_one_line_error(r, 2)
+    assert "triplets" in r.stderr
 
 
 def test_cell_cap_is_a_config_error(tmp_path):

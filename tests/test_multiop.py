@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from operadics.braces import _terms
 from operadics.cohomology import (
     AlgebraSpec,
     cocycle_basis,
@@ -375,6 +376,21 @@ def test_partial_compose_matches_loop_oracle():
             else:
                 assert_python_scalars(got)
                 assert got.coeffs.tolist() == want.coeffs.tolist(), seed
+
+
+def test_partial_compose_equals_its_brace_term_on_floats():
+    # dim 2, degrees 4-13 is where a separate matmul kernel rounded some
+    # slots differently from the brace plan; one kernel makes every slot
+    # equal to its term of f{g} to the last bit
+    rng = random.Random(11)
+    for m in range(4, 14):
+        f = random_op(rng, 2, m, ENDO, FLOAT)
+        for n in (1, 2):
+            g = random_op(rng, 2, n, ENDO, FLOAT)
+            terms = np.concatenate(list(_terms(f, (g,))))
+            for i in range(m):
+                got = partial_compose(f, g, i).coeffs
+                assert np.array_equal(got, terms[i]), (m, n, i)
 
 
 def test_backend_is_set_on_every_construction_path():
