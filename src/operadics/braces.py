@@ -24,12 +24,11 @@ would be negative the brace raises DegreeUnderflowError instead.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
-
-import numpy as np
+import math
+from itertools import combinations, islice
 
 from .errors import DegreeMismatchError, DegreeUnderflowError
-from .multiop import MultiOp, _check_pair, _compile, _evaluate, _plan, sub, zero_op
+from .multiop import MultiOp, _check_pair, _compile, _plan, _sum, sub, zero_op
 from .scalars import sign_pow
 
 
@@ -52,21 +51,13 @@ def brace(h: MultiOp, *gs: MultiOp) -> MultiOp:
     """
     if not gs:
         return h
-    return _sum(h, h.degree + sum(g.reduced_degree for g in gs), _terms(h, gs))
-
-
-def _sum(like: MultiOp, degree: int, stacks) -> MultiOp:
-    """The op whose coefficients are all rows of the stacks, added in order."""
-    total = None
-    for stack in stacks:
-        if total is not None:
-            stack[0] += total
-        total = stack[0] if len(stack) == 1 else np.add.reduce(stack)
-    return MultiOp._wrap(like.dim, degree, like.variance, total)
+    return _sum(h, h.degree + sum(g.reduced_degree for g in gs), [_terms(h, gs)])
 
 
 def _terms(h: MultiOp, gs, sign: int = 1):
-    """Stacks of the terms of sign * h{gs}: one stack, or a lazy chunk sequence.
+    """The terms of sign * h{gs} as a part (count, h, gs, plans) of _sum: one
+    plan, or a lazy sequence of chunk plans.  A sum without terms is the one
+    term of the zero op of its degree with no insertions.
 
     The operands are checked, and the errors of inserting them one slot at a
     time raised, before any plan is built: the errors of the zero op for a
@@ -75,15 +66,15 @@ def _terms(h: MultiOp, gs, sign: int = 1):
     for outer, inner in zip((h, *gs), gs):
         _check_pair(outer, inner)
     if len(gs) > h.degree:
-        zero = _zero(h, h.degree + sum(g.reduced_degree for g in gs))
-        return (zero.coeffs[None].copy(),)
+        h, gs, sign = _zero(h, h.degree + sum(g.reduced_degree for g in gs)), (), 1
     degs = tuple([g.degree for g in gs])
+    count = math.comb(h.degree, len(gs))
     plan = _compile(h.dim, h.degree, degs, sign)
     if not isinstance(plan, int):
-        return (_evaluate(plan, h, gs),)
+        return count, h, gs, (plan,)
     slots = combinations(range(h.degree), len(gs))
     chunks = iter(lambda: list(islice(slots, plan)), [])
-    return (_evaluate(_plan(h.dim, h.degree, degs, sign, rows), h, gs) for rows in chunks)
+    return count, h, gs, (_plan(h.dim, h.degree, degs, sign, rows) for rows in chunks)
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -106,7 +97,7 @@ def cup(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
     mu{f, g} has the single term (mu o_0 f) o_deg(f) g.
     """
     _require_mu(mu)
-    return _sum(mu, f.degree + g.degree, _terms(mu, (f, g), sign_pow(f.degree)))
+    return _sum(mu, f.degree + g.degree, [_terms(mu, (f, g), sign_pow(f.degree))])
 
 
 def tribrace(h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
@@ -123,8 +114,8 @@ def bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """Graded commutator of total composition: the terms of f{g}, then those
     of -(-1)**(|f| |g|) g{f}, in one sum."""
     sign = sign_pow(f.reduced_degree * g.reduced_degree)
-    stacks = chain(_terms(f, (g,)), _terms(g, (f,), -sign))
-    return _sum(f, f.degree + g.reduced_degree, stacks)
+    parts = [_terms(f, (g,)), _terms(g, (f,), -sign)]
+    return _sum(f, f.degree + g.reduced_degree, parts)
 
 
 def compose_associator(h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:

@@ -334,18 +334,35 @@ def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     """Nonzero rows of the reduced row echelon form, and their pivot columns.
 
-    The forward pass is _echelon on integers; each pivot row is then scaled
-    to a unit pivot and cleared upwards from the last pivot row.
+    The forward pass is _echelon on integers.  Its last pivot D is, up to
+    sign, the determinant of the pivot columns of its rows, so D times the
+    reduced form is an integer matrix (Cramer's rule).  The back pass builds
+    that matrix from the last pivot row upwards: D times row i less the
+    multiples of the rows below that clear its pivot columns, divided
+    exactly by its pivot.  Each entry is then divided by D once.
     """
     echelon, pivots = _echelon(_clear_denominators(rows))
-    reduced = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
-    for i in range(len(pivots) - 1, 0, -1):
-        p, lead = pivots[i], reduced[i]
-        for row in reduced[:i]:
-            factor = row[p]
+    if not pivots:
+        return [], []
+    det = echelon[-1][pivots[-1]]
+    scaled = []  # (pivot column, D times the reduced row), last row first
+    for row, p in zip(reversed(echelon), reversed(pivots)):
+        acc = [det * x for x in row[p:]]
+        for q, lower in scaled:
+            factor = row[q]
             if factor:
-                row[p:] = [a - factor * b for a, b in zip(row[p:], lead[p:])]
-    return reduced, pivots
+                acc[q - p :] = [a - factor * b for a, b in zip(acc[q - p :], lower[q:])]
+        pivot = row[p]
+        out = [0] * p
+        for a in acc:
+            quot, rem = divmod(a, pivot)
+            if rem:
+                raise ArithmeticError("fraction-free back substitution drifted")
+            out.append(quot)
+        scaled.append((p, out))
+    zero = Fraction(0)
+    reduced = [[Fraction(x, det) if x else zero for x in row] for _, row in scaled]
+    return reduced[::-1], pivots
 
 
 def solve_linear(matrix, rhs):

@@ -27,8 +27,16 @@ is a choice of index.  partial_compose is the plan of one term.  A sum
 whose stacks would exceed _STACK_ENTRIES runs in chunks of terms, and only
 plans of at most _CACHED_ENTRIES indices are kept.
 
-Exact coefficients are Python ints or Fractions held in object arrays, so
-they never overflow; the float backend uses float64.
+Exact coefficients never overflow.  An exact op whose entries are all ints
+holds them as int64 together with a Python-int bound on their magnitude; a
+contraction's bound is bound(h) * prod(bound(gj) * dim) * terms, a sum's is
+the sum of the bounds, and scaling by k multiplies it by |k|.  Contractions,
+add, scale, == and is_zero run on int64 while the result's bound stays below
+_INT_LIMIT; Fractions, larger values and larger results take Python ints and
+Fractions in object arrays.  The public coeffs of an exact op is always such
+an object array, made on first read for an int64 op; an op built from
+coefficients gets its int64 form on its first arithmetic use.  The float
+backend uses float64.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -85,6 +93,9 @@ _STACK_ENTRIES = 2**18
 _PLAN_CACHE = 512
 _CACHED_ENTRIES = 2**15
 
+# Exact arithmetic runs on int64 while the bound of its result is below this.
+_INT_LIMIT = 2**62
+
 
 # Element types of an exact coefficient array.
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -106,6 +117,33 @@ def _coefficient_array(values) -> np.ndarray:
     return np.array(exact, dtype=object)
 
 
+def _int64_form(arr: np.ndarray):
+    """(int64 copy, largest magnitude) of exact coefficients that are all ints
+    below _INT_LIMIT in magnitude, else None."""
+    if arr.dtype != object:
+        return None
+    values = arr.tolist()
+    if not all(type(v) is int for v in values):
+        return None
+    bound = max(map(abs, values))
+    if bound >= _INT_LIMIT:
+        return None
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out, bound
+
+
+def _checked_size(dim: int, degree: int, variance: str) -> int:
+    """The coefficient count of a valid shape; raises on an invalid one."""
+    if variance not in VARIANCES:
+        raise VarianceMismatchError(f"unknown variance {variance!r}")
+    if dim < 1:
+        raise ShapeMismatchError(f"dim must be >= 1, got {dim}")
+    if degree < 0:
+        raise ShapeMismatchError(f"degree must be >= 0, got {degree}")
+    return _capped_size(dim, degree)
+
+
 def _capped_size(dim: int, degree: int) -> int:
     """dim**(degree+1), the coefficient count; SizeCapError above SIZE_CAP."""
     size = dim ** (degree + 1)
@@ -116,29 +154,18 @@ def _capped_size(dim: int, degree: int) -> int:
     return size
 
 
-@dataclass(frozen=True, eq=False)
 class MultiOp:
     """Immutable degree-n multilinear operation over a d-dimensional module.
 
     ``backend`` is EXACT for object coefficients and FLOAT for float64; it is
-    set once, when the op is made.
+    set once, when the op is made.  ``_ints`` is the (int64 coefficients,
+    bound) of an exact op on the int64 path, else None; such an op makes its
+    object ``coeffs`` on first read.
     """
 
-    dim: int
-    degree: int
-    variance: str
-    coeffs: np.ndarray
-    backend: str = field(init=False)
-
-    def __post_init__(self):
-        if self.variance not in VARIANCES:
-            raise VarianceMismatchError(f"unknown variance {self.variance!r}")
-        if self.dim < 1:
-            raise ShapeMismatchError(f"dim must be >= 1, got {self.dim}")
-        if self.degree < 0:
-            raise ShapeMismatchError(f"degree must be >= 0, got {self.degree}")
-        size = _capped_size(self.dim, self.degree)
-        arr = self.coeffs
+    def __init__(self, dim: int, degree: int, variance: str, coeffs):
+        size = _checked_size(dim, degree, variance)
+        arr = coeffs
         if not isinstance(arr, np.ndarray):
             arr = _coefficient_array(list(arr))
         elif arr.dtype == object:
@@ -154,28 +181,50 @@ class MultiOp:
         arr = arr.reshape(-1)
         if arr.size != size:
             raise ShapeMismatchError(
-                f"expected {size} coefficients for dim {self.dim} degree "
-                f"{self.degree}, got {arr.size}"
+                f"expected {size} coefficients for dim {dim} degree "
+                f"{degree}, got {arr.size}"
             )
-        if arr.base is not None or arr is self.coeffs:
+        if arr.base is not None or arr is coeffs:
             arr = arr.copy()
         arr.setflags(write=False)
         backend = EXACT if arr.dtype.hasobject else FLOAT
-        self.__dict__.update(coeffs=arr, backend=backend)
+        self.__dict__.update(
+            dim=dim, degree=degree, variance=variance, coeffs=arr, backend=backend
+        )
 
     @classmethod
-    def _wrap(cls, dim, degree, variance, arr):
-        """Fast internal constructor for object or float64 arrays we already own."""
+    def _wrap(cls, dim, degree, variance, arr, bound=None):
+        """Fast internal constructor for arrays we already own: object or
+        float64, or int64 whose entries are at most bound in magnitude."""
         op = cls.__new__(cls)
         arr.setflags(write=False)
-        op.__dict__.update(
-            dim=dim,
-            degree=degree,
-            variance=variance,
-            coeffs=arr,
-            backend=EXACT if arr.dtype.hasobject else FLOAT,
-        )
+        if bound is None:
+            backend = EXACT if arr.dtype.hasobject else FLOAT
+            op.__dict__.update(
+                dim=dim, degree=degree, variance=variance, coeffs=arr, backend=backend, _ints=None
+            )
+        else:
+            op.__dict__.update(
+                dim=dim, degree=degree, variance=variance, backend=EXACT, _ints=(arr, bound)
+            )
         return op
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        # Only an int64 op gets here: every other op is made with its coeffs.
+        arr = self._ints[0].astype(object)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def _ints(self):
+        return _int64_form(self.coeffs)
 
     @property
     def reduced_degree(self) -> int:
@@ -189,7 +238,7 @@ class MultiOp:
             and self.degree == other.degree
             and self.variance == other.variance
             and self.backend == other.backend
-            and bool(np.array_equal(self.coeffs, other.coeffs))
+            and bool(np.array_equal(*_arrays((self, other))))
         )
 
     __hash__ = None
@@ -214,6 +263,14 @@ class MultiOp:
         )
 
 
+def _arrays(ops) -> list:
+    """The ops' int64 coefficients when all have them, else their coeffs."""
+    ints = [op._ints for op in ops]
+    if None in ints:
+        return [op.coeffs for op in ops]
+    return [pair[0] for pair in ints]
+
+
 def _common_backend(f: MultiOp, g: MultiOp) -> str:
     if f.backend != g.backend:
         raise BackendMismatchError(
@@ -231,24 +288,31 @@ def _check_pair(f: MultiOp, g: MultiOp):
 
 
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
-    dtype = np.float64 if backend == FLOAT else object
-    return MultiOp(dim, degree, variance, np.zeros(_capped_size(dim, degree), dtype=dtype))
+    size = _checked_size(dim, degree, variance)
+    if backend == FLOAT:
+        return MultiOp._wrap(dim, degree, variance, np.zeros(size))
+    return MultiOp._wrap(dim, degree, variance, np.zeros(size, np.int64), 0)
 
 
 def identity_op(dim: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
     """The operadic unit: the degree-1 identity map (Kronecker delta)."""
-    dtype = np.float64 if backend == FLOAT else object
-    return MultiOp(dim, 1, variance, np.eye(dim, dtype=dtype).reshape(-1))
+    _checked_size(dim, 1, variance)
+    if backend == FLOAT:
+        return MultiOp._wrap(dim, 1, variance, np.eye(dim).reshape(-1))
+    return MultiOp._wrap(dim, 1, variance, np.eye(dim, dtype=np.int64).reshape(-1), 1)
 
 
 def is_zero(f: MultiOp) -> bool:
-    return not bool(np.any(f.coeffs))
+    return not bool(np.any(_arrays((f,))[0]))
 
 
 def add(f: MultiOp, g: MultiOp) -> MultiOp:
     _check_pair(f, g)
     if f.degree != g.degree:
         raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
+    a, b = f._ints, g._ints
+    if a is not None and b is not None and a[1] + b[1] < _INT_LIMIT:
+        return MultiOp._wrap(f.dim, f.degree, f.variance, a[0] + b[0], a[1] + b[1])
     return MultiOp._wrap(f.dim, f.degree, f.variance, f.coeffs + g.coeffs)
 
 
@@ -263,6 +327,10 @@ def scale(s, f: MultiOp) -> MultiOp:
         s = float(s)
     elif isinstance(s, float):
         raise BackendMismatchError("float scalar on an exact operand")
+    elif isinstance(s, (int, np.integer)) and f._ints is not None:
+        k, (arr, bound) = operator.index(s), f._ints
+        if abs(k) < _INT_LIMIT and abs(k) * bound < _INT_LIMIT:
+            return MultiOp._wrap(f.dim, f.degree, f.variance, k * arr, abs(k) * bound)
     return MultiOp._wrap(f.dim, f.degree, f.variance, s * f.coeffs)
 
 
@@ -290,12 +358,12 @@ def random_op(
     backend: str = EXACT,
 ) -> MultiOp:
     """Draw a random op: exact entries uniform in -3..3, float in [-1, 1)."""
-    size = _capped_size(dim, degree)
+    size = _checked_size(dim, degree, variance)
     if backend == FLOAT:
         data = np.array([rng.uniform(-1.0, 1.0) for _ in range(size)])
-    else:
-        data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=object)
-    return MultiOp(dim, degree, variance, data)
+        return MultiOp._wrap(dim, degree, variance, data)
+    data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64)
+    return MultiOp._wrap(dim, degree, variance, data, 3)
 
 
 def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
@@ -314,7 +382,57 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
     plan = _compile(d, m, (n,), 1, (i,))
     if isinstance(plan, int):
         plan = _plan(d, m, (n,), 1, [(i,)])
-    return MultiOp._wrap(d, m + n - 1, f.variance, _evaluate(plan, f, (g,))[0])
+    return _sum(f, m + n - 1, [(1, f, (g,), (plan,))])
+
+
+def _sum(like: MultiOp, degree: int, parts) -> MultiOp:
+    """The op of the given degree, dim and variance of like, whose
+    coefficients are all terms of the parts, added in order.
+
+    A part (count, h, gs, plans) is count terms of h{gs}, one stack per plan.
+    An exact sum runs on int64 when its bound (_bound) is below _INT_LIMIT.
+    """
+    bound = _bound(parts) if like.backend == EXACT else None
+    total = None
+    for _, h, gs, plans in parts:
+        ops = (h, *gs)
+        if bound is None:
+            arrays = [op.coeffs for op in ops]
+        else:
+            arrays = [op._ints[0] for op in ops]
+        for plan in plans:
+            stack = _evaluate(plan, arrays)
+            if total is not None:
+                stack[0] += total
+            total = stack[0] if len(stack) == 1 else np.add.reduce(stack)
+    return MultiOp._wrap(like.dim, degree, like.variance, total, bound)
+
+
+def _bound(parts):
+    """A bound on every entry of an exact sum of parts, and on every partial
+    sum on the way, if all its operands have int64 forms and it is below
+    _INT_LIMIT; else None, after calling _on_object_path.
+
+    A term of h{g1..gk} is bounded by bound(h) * prod(bound(gj) * dim).
+    """
+    total = 0
+    for count, h, gs, _ in parts:
+        term = count * h.dim ** len(gs)
+        for op in (h, *gs):
+            ints = op._ints
+            if ints is None:
+                _on_object_path()
+                return None
+            term *= ints[1]
+        total += term
+    if total < _INT_LIMIT:
+        return total
+    _on_object_path()
+    return None
+
+
+def _on_object_path():
+    """Called once for each exact sum of terms that runs on object arrays."""
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
@@ -339,12 +457,13 @@ def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
     return per_chunk
 
 
-def _evaluate(plan, h: MultiOp, gs) -> np.ndarray:
-    """The (terms, coefficients) stack of one plan's signed terms."""
+def _evaluate(plan, arrays) -> np.ndarray:
+    """The (terms, coefficients) stack of one plan's signed terms, given the
+    coefficient arrays of h and of the gs."""
     gathers, signed, out = plan
-    src = h.coeffs
-    for index, g in zip(gathers, gs):
-        src = np.matmul(src[index], g.coeffs.reshape(g.dim, -1)).reshape(-1)
+    src = arrays[0]
+    for index, g in zip(gathers, arrays[1:]):
+        src = np.matmul(src[index], g.reshape(index.shape[1], -1)).reshape(-1)
     if signed:
         src = np.concatenate((src, -src))
     return src[out]
@@ -356,7 +475,8 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
     A row i1 < ... < ik of slots of h is the term that inserts gj at the
     shifted point ij + sum of |g| before it.  Each stage keeps, per live
     prefix of insertion points, a layout: the flat position in the stage's
-    product of every coefficient of the prefix's partial result.  Returns
+    product of every coefficient of the prefix's partial result.  Both
+    index maps of a stage are transposes, one per insertion point.  Returns
     (one gather index per stage, whether any term is negative, output index).
     """
     slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
@@ -369,28 +489,33 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
         new = np.ones(len(slots), dtype=bool)
         new[1:] = (slots[1:, : j + 1] != slots[:-1, : j + 1]).any(axis=1)
         first = np.flatnonzero(new)
-        slot = slots[first, j][:, None, None]
-        # slot i of a degree-m layout as the last axis: (prefix, rest, slot)
-        w = d ** (m - 1 - slot)
-        rest = np.arange(d**m)[None, :, None]
-        moved = (rest // w) * w * d + np.arange(d)[None, None, :] * w + rest % w
-        gathers.append(layout[parent[first][:, None, None], moved].reshape(-1, d))
-        # child layout: (a b1..bi, c1..cn, rest) read from the product row
-        # (a b1..bi rest, c1..cn) of its prefix
-        span, size = d**n, d ** (m + n)
-        pos = np.arange(size)[None, :]
-        w = w[:, :, 0]
-        row = (pos // (span * w)) * w + pos % w
-        layout = np.arange(len(first))[:, None] * size + row * span + (pos // w) % span
-        parent = np.cumsum(new) - 1
+        points, which = np.unique(slots[first, j], return_inverse=True)
+        size, span = d ** (m + n), d**n
+        gather = np.empty((len(first), d ** (m + 1)), dtype=np.intp)
+        child = np.empty((len(first), size), dtype=np.intp)
+        for k, i in enumerate(points.tolist()):
+            head, w = d ** (i + 1), d ** (m - 1 - i)
+            at = which == k
+            # slot i of a degree-m layout as the last axis: (head, rest, slot);
+            # a layout of one row, h's own, broadcasts over the prefixes
+            src = layout[parent[first[at]]] if len(layout) > 1 else layout
+            gather.reshape(-1, head, w, d).swapaxes(2, 3)[at] = src.reshape(-1, head, d, w)
+            # child layout: (head, c1..cn, rest) read from the product row
+            # (head rest, c1..cn) of its prefix
+            product = np.arange(size).reshape(head, w, span).swapaxes(1, 2)
+            child.reshape(-1, head, span, w)[at] = product
+        gathers.append(gather.reshape(-1, d))
+        child += np.arange(0, len(first) * size, size)[:, None]
+        layout, parent = child, np.cumsum(new) - 1
         m += n - 1
     odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
     negative = odd if sign > 0 else ~odd
     signed = bool(negative.any())
-    out = layout + negative[:, None] * layout.size if signed else layout
-    for index in (*gathers, out):
+    if signed:
+        layout += negative[:, None] * layout.size
+    for index in (*gathers, layout):
         index.setflags(write=False)
-    return tuple(gathers), signed, out
+    return tuple(gathers), signed, layout
 
 
 def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:

@@ -303,6 +303,16 @@ def test_empty_brace_is_zero_of_nominal_degree_or_underflows(k):
         brace(h, *[_scalar(3, 0)] * k)
 
 
+def test_empty_brace_above_the_cached_plan_size():
+    # no term fits, and the zero op of degree 1 + 7 + 7 has 2**16 entries,
+    # more than a cached plan may index
+    for backend in (EXACT, FLOAT):
+        g = random_op(random.Random(3), 2, 8, ENDO, backend)
+        out = brace(zero_op(2, 1, ENDO, backend), g, g)
+        assert out.degree == 15 and out.backend == backend and is_zero(out)
+        assert out == zero_op(2, 15, ENDO, backend)
+
+
 def test_brace_computes_no_dead_insertions():
     # every product a stage computes is a prefix of some term: with four
     # slots and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4

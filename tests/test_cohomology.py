@@ -265,6 +265,24 @@ def test_block_solvers_match_dense_reduction():
             assert solve_oracle(m, bad) is None
 
 
+def test_back_substitution_matches_dense_reduction_in_types():
+    # _rref divides once per entry by the last Bareiss pivot; its rows, their
+    # order and their Fraction entries equal the Fraction Gauss-Jordan's,
+    # and so do the vectors nullspace and solve_linear build from them
+    cases = [(seed, small_entry) for seed in range(200)]
+    cases += [(seed, huge_entry) for seed in range(50)]
+    for seed, entry in cases:
+        rng = random.Random(seed)
+        m = hidden_block_matrix(rng, entry)
+        reduced, pivots = cohomology._rref(m)
+        want, want_pivots = rref_oracle(m)
+        assert (reduced, pivots) == (want[: len(want_pivots)], want_pivots), seed
+        rhs = [rng.randint(-2, 2) for _ in m]
+        x = solve_linear(m, rhs)
+        vectors = reduced + nullspace(m) + ([x] if x is not None else [])
+        assert all(type(v) is Fraction for vec in vectors for v in vec), seed
+
+
 def test_exact_solvers_take_only_exact_entries():
     # Python and numpy integers and Fractions are exact, even mixed
     m = np.array([[1, 2], [2, 4], [1, 0]])

@@ -7,12 +7,15 @@ it is checking.
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadics.braces import _terms
+from operadics import multiop
+from operadics.braces import _terms, bracket, brace
 from operadics.cohomology import (
     AlgebraSpec,
     cocycle_basis,
@@ -45,6 +48,7 @@ from operadics.multiop import (
     scale,
     sub,
     zero_op,
+    _evaluate,
 )
 from operadics.scalars import sign_pow
 from operadics.verify import diagonal_mu
@@ -183,6 +187,12 @@ def test_coefficients_are_copied_and_frozen():
     assert op.coeffs[0] == 1
     with pytest.raises(ValueError):
         op.coeffs[0] = 5
+    # the op itself is frozen, on the object and the int64 path alike
+    for frozen in (op, random_op(random.Random(0), 2, 1)):
+        with pytest.raises(AttributeError):
+            frozen.coeffs = np.zeros(2)
+        with pytest.raises(AttributeError):
+            del frozen.dim
 
 
 def test_zero_and_identity_shapes():
@@ -345,6 +355,121 @@ def test_exact_constructors_build_python_scalars():
         assert_python_scalars(op)
 
 
+# --- int64 representation ---------------------------------------------
+
+
+def _edge_ints(dim):
+    """Entries at the edges of the int64 path: its limit over dim (where a
+    contraction's bound crosses it), the limit itself and int64's end."""
+    bases = [2**62 // dim, 2**62, 2**63]
+    return st.builds(
+        lambda base, sign, offset: sign * (base + offset),
+        st.sampled_from(bases),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=-1, max_value=1),
+    )
+
+
+def _drawn_op(data, dim, degree):
+    """An op of small ints (the int64 path), of small and edge ints, of one
+    repeated small or edge int (whose contractions reach their bounds), or of
+    small ints and Fractions (the object path)."""
+    small = st.integers(min_value=-3, max_value=3)
+    size = dim ** (degree + 1)
+    kind = data.draw(st.sampled_from(["small", "edge", "constant", "fraction"]))
+    if kind == "constant":
+        return MultiOp(dim, degree, ENDO, [data.draw(st.one_of(small, _edge_ints(dim)))] * size)
+    entry = {
+        "small": small,
+        "edge": st.one_of(small, _edge_ints(dim)),
+        "fraction": st.one_of(small, st.builds(Fraction, small, st.integers(1, 3))),
+    }[kind]
+    return MultiOp(dim, degree, ENDO, data.draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+def _on_objects(fn, *ops):
+    """fn on copies of the ops with the int64 path switched off."""
+    with mock.patch.object(multiop, "_INT_LIMIT", 0):
+        return fn(*[MultiOp(op.dim, op.degree, op.variance, op.coeffs) for op in ops])
+
+
+def _chunked(fn, *ops):
+    """fn with every sum of terms split into chunks of one term."""
+    multiop._compile.cache_clear()
+    try:
+        with mock.patch.object(multiop, "_STACK_ENTRIES", 1):
+            return fn(*ops)
+    finally:
+        multiop._compile.cache_clear()
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_int64_path_equals_the_object_path(dim, data):
+    deg = data.draw(st.integers(min_value=1, max_value=3))
+    h, f = _drawn_op(data, dim, deg), _drawn_op(data, dim, deg)
+    g, v = _drawn_op(data, dim, data.draw(st.integers(1, 2))), _drawn_op(data, dim, 0)
+    i = data.draw(st.integers(min_value=0, max_value=deg - 1))
+    k = data.draw(st.one_of(st.integers(-3, 3), _edge_ints(dim)))
+    # results of the kernel feed the linear maps as int64 or object operands
+    calls = {
+        "compose": (lambda h, g: partial_compose(h, g, i), (h, g)),
+        "compose_vector": (lambda h, v: partial_compose(h, v, i), (h, v)),
+        "brace": (lambda h, g: brace(h, g, g), (h, g)),
+        "bracket": (bracket, (h, g)),
+        "chained": (lambda h, g: add(brace(h, g), scale(k, brace(h, g))), (h, g)),
+        "add": (add, (h, f)),
+        "sub": (sub, (h, f)),
+        "scale": (lambda h: scale(k, h), (h,)),
+        "scale_frac": (lambda h: scale(Fraction(k, 3), h), (h,)),
+        "scale_after_compose": (lambda h, g: scale(k, partial_compose(h, g, i)), (h, g)),
+    }
+    if -(2**63) <= k < 2**63:
+        calls["scale_np"] = (lambda h: scale(np.int64(k), h), (h,))
+    for name, (fn, ops) in calls.items():
+        got = fn(*ops)
+        want = _on_objects(fn, *ops)
+        assert_python_scalars(got)
+        assert got.coeffs.tolist() == want.coeffs.tolist(), name
+        assert got == want and (got == h) == _on_objects(MultiOp.__eq__, got, h), name
+        assert is_zero(got) == _on_objects(is_zero, got), name
+        assert is_zero(sub(got, got)), name
+    assert _chunked(brace, h, g, g) == _on_objects(brace, h, g, g)
+    assert _chunked(bracket, h, f) == _on_objects(bracket, h, f)
+
+
+def test_small_integer_results_stay_on_int64():
+    rng = random.Random(4)
+    f, g = random_op(rng, 2, 3), random_op(rng, 2, 2)
+    results = [
+        partial_compose(f, g, 1),
+        brace(f, g, g),
+        bracket(f, g),
+        add(f, f),
+        sub(f, f),
+        scale(np.int64(-5), f),
+        scale(2**40, g),
+    ]
+    assert all(op._ints is not None for op in results)
+    assert all(type(x) is int for op in results for x in op.coeffs.tolist())
+    # at the limit each falls back to exact Python ints, and the guard's
+    # own arithmetic never wraps
+    fallbacks = []
+    with mock.patch.object(multiop, "_on_object_path", lambda: fallbacks.append(1)):
+        big = scale(2**59, f)
+        assert big._ints is not None
+        assert add(big, big)._ints is not None and add(big, add(big, big))._ints is None
+        assert scale(np.int64(2**62), MultiOp(1, 1, ENDO, [4])).coeffs.tolist() == [2**64]
+        out = partial_compose(big, g, 0)
+        assert out._ints is None and fallbacks == [1]
+        assert out == 2**59 * partial_compose(f, g, 0)
+        # bound(h) * bound(g) is below the limit, but the dim products of
+        # each entry sum past int64
+        h = MultiOp(3, 1, ENDO, [2**62 // 3] * 9)
+        out = partial_compose(h, MultiOp(3, 1, ENDO, [3] * 9), 0)
+        assert out.coeffs.tolist() == [9 * (2**62 // 3)] * 9 and fallbacks == [1, 1]
+
+
 # --- partial composition -----------------------------------------------
 
 
@@ -387,10 +512,71 @@ def test_partial_compose_equals_its_brace_term_on_floats():
         f = random_op(rng, 2, m, ENDO, FLOAT)
         for n in (1, 2):
             g = random_op(rng, 2, n, ENDO, FLOAT)
-            terms = np.concatenate(list(_terms(f, (g,))))
+            _, _, _, plans = _terms(f, (g,))
+            stacks = [_evaluate(plan, (f.coeffs, g.coeffs)) for plan in plans]
+            terms = np.concatenate(stacks)
             for i in range(m):
                 got = partial_compose(f, g, i).coeffs
                 assert np.array_equal(got, terms[i]), (m, n, i)
+
+
+def reference_plan(d, deg_h, degs, sign, rows):
+    """The brace plan with every index computed by // and % arithmetic: the
+    builder the transposed-arange one replaced, kept as its oracle."""
+    slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
+    slots += np.cumsum((0,) + tuple(n - 1 for n in degs[:-1]))
+    layout = np.arange(d ** (deg_h + 1))[None]
+    parent = np.zeros(len(slots), dtype=np.intp)
+    gathers = []
+    m = deg_h
+    for j, n in enumerate(degs):
+        new = np.ones(len(slots), dtype=bool)
+        new[1:] = (slots[1:, : j + 1] != slots[:-1, : j + 1]).any(axis=1)
+        first = np.flatnonzero(new)
+        slot = slots[first, j][:, None, None]
+        w = d ** (m - 1 - slot)
+        rest = np.arange(d**m)[None, :, None]
+        moved = (rest // w) * w * d + np.arange(d)[None, None, :] * w + rest % w
+        gathers.append(layout[parent[first][:, None, None], moved].reshape(-1, d))
+        span, size = d**n, d ** (m + n)
+        pos = np.arange(size)[None, :]
+        w = w[:, :, 0]
+        row = (pos // (span * w)) * w + pos % w
+        layout = np.arange(len(first))[:, None] * size + row * span + (pos // w) % span
+        parent = np.cumsum(new) - 1
+        m += n - 1
+    odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
+    negative = odd if sign > 0 else ~odd
+    signed = bool(negative.any())
+    out = layout + negative[:, None] * layout.size if signed else layout
+    return tuple(gathers), signed, out
+
+
+def test_plan_indices_equal_the_reference_builder():
+    checked = 0
+    for d in (1, 2, 3):
+        for deg_h in range(1, 7):
+            for k in range(1, min(deg_h, 3) + 1):
+                for degs in product(range(3), repeat=k):
+                    if d ** (deg_h + 1 + sum(degs)) > 2**14:
+                        continue
+                    rows = list(combinations(range(deg_h), k))
+                    for sign, chosen in product((1, -1), (rows, rows[-1:], rows[::2])):
+                        got = multiop._plan(d, deg_h, degs, sign, chosen)
+                        want = reference_plan(d, deg_h, degs, sign, chosen)
+                        assert got[1] == want[1]
+                        assert len(got[0]) == len(want[0])
+                        for a, b in zip((*got[0], got[2]), (*want[0], want[2])):
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+                        checked += 1
+    # the one-slot plans of the largest compositions, built on every call
+    for m, n in ((15, 1), (14, 2), (13, 3)):
+        for i in range(m):
+            got = multiop._plan(2, m, (n,), 1, [(i,)])
+            want = reference_plan(2, m, (n,), 1, [(i,)])
+            assert got[1] == want[1] and np.array_equal(got[2], want[2])
+            assert np.array_equal(got[0][0], want[0][0]), (m, n, i)
+    assert checked > 1000
 
 
 def test_backend_is_set_on_every_construction_path():

@@ -4,6 +4,7 @@ negative-control hook that proves failures are actually detectable.
 
 import pytest
 
+from operadics import multiop
 from operadics.errors import ConfigError
 from operadics.multiop import COENDO, FLOAT
 from operadics.verify import (
@@ -34,6 +35,17 @@ def test_all_suites_pass_on_the_default_config():
         assert r.cases == 10
         assert r.failures == 0
         assert r.counterexample is None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_suites_contract_on_int64_only(monkeypatch, dim):
+    # every operand of the exact suites is an integer op with small entries,
+    # so no sum of terms may fall back to object arrays
+    fallbacks = []
+    monkeypatch.setattr(multiop, "_on_object_path", lambda: fallbacks.append(1))
+    results = run_all(SuiteConfig(cases=5, dim=dim))
+    assert all(r.passed for r in results)
+    assert fallbacks == []
 
 
 def test_float_and_coendo_configs_pass_too():
