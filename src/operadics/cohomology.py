@@ -14,6 +14,15 @@ convention that nothing maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
+When mu has a two-sided unit (AlgebraSpec.unit), betti_table ranks the
+normalized complex (Loday, Cyclic Homology 1.5.7): in a basis whose e_0 is
+the unit, the cochains that vanish whenever an input is e_0 form a
+subcomplex with the same cohomology and d * (d - 1)**n cochains in degree n
+against d**(n+1).  The printed columns of the full complex follow from the
+Betti numbers: kernel_n = H^n + rank_(n-1) and rank_n = dim C^n - kernel_n.
+Non-unital algebras, is_coboundary and cocycle_basis keep the full complex,
+whose cochains are in the given basis.
+
 The complex only makes sense when mu is associative (the coboundary squares
 to the action of the associator tensor); betti_table refuses non-associative
 input, while coboundary_matrix merely warns, since the matrix itself is
@@ -69,6 +78,18 @@ class AlgebraSpec:
 
     def is_associative(self) -> bool:
         return is_zero(self.associator)
+
+    @cached_property
+    def unit(self) -> tuple | None:
+        """The two-sided unit u, mu(u, e_j) = e_j = mu(e_j, u), as exact
+        coordinates, or None when mu has none."""
+        d = self.dim
+        c = self.mu.coeffs.reshape(d, d, d)  # c[x, y, z]: x in y z
+        # rows (x, j) of mu(u, e_j) and then of mu(e_j, u), columns k of u
+        rows = np.concatenate((c.transpose(0, 2, 1), c)).reshape(2 * d * d, d)
+        rhs = np.eye(d, dtype=int).reshape(-1).tolist() * 2
+        u = solve_linear(rows.tolist(), rhs)
+        return None if u is None else tuple(_exact_array(u).tolist())
 
 
 @dataclass(frozen=True)
@@ -172,47 +193,96 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
             "well defined but its cohomology is not",
             stacklevel=2,
         )
-    d = spec.dim
-    rows = d ** (n + 2)
-    cols = d ** (n + 1)
+    rows = spec.dim ** (n + 2)
     if rows > SIZE_CAP:
         raise SizeCapError(f"coboundary target needs {rows} coefficients")
+    return _coboundary(spec.mu.coeffs.tolist(), spec.dim, n, 0)
+
+
+def _coboundary(mu: list, d: int, n: int, low: int) -> CoboundaryMatrix:
+    """The coboundary on the degree-n cochains whose input digits are >= low.
+
+    mu is the flat list of structure constants.  low = 0 gives the full
+    complex.  low = 1, when e_0 is the unit of mu, gives the normalized
+    complex: the coboundary of a cochain that vanishes whenever an input is
+    e_0 is again such a cochain, so the block of cochains with every input
+    digit >= 1 is a subcomplex, the rest of its columns being zero.  Its
+    cochains are numbered compactly, input digits less low in base d - low.
+    """
+    m = d - low
+    rows = d * m ** (n + 1)
+    cols = d * m**n
     # d e_c = [e_c, mu] = e_c . mu - s mu . e_c with s = (-1)**(n-1).  Writing
     # o_i for the bare contraction, the Koszul slot signs are (-1)**i on
     # e_c o_i mu and s on mu o_1 e_c, so (as s * s = 1)
     #     d e_c = sum_i (-1)**i e_c o_i mu - s mu o_0 e_c - mu o_1 e_c.
     # e_c has output a and inputs b = (b_0..b_(n-1)); mu[x, y, z] is x in y z.
-    by_out = [[] for _ in range(d)]  # x -> (y z as one index, value)
-    by_left = [[] for _ in range(d)]  # y -> (x, z, value)
+    # Each list keeps the terms whose digits that become inputs are >= low.
+    by_out = [[] for _ in range(d)]  # x - low -> (y z as one index, value)
+    by_left = [[] for _ in range(d)]  # y -> (x, z - low, value)
     by_right = [[] for _ in range(d)]  # z -> (x y as one index, value)
-    for k, value in enumerate(spec.mu.coeffs.tolist()):
+    for k, value in enumerate(mu):
         if value:
             x, y, z = k // (d * d), k // d % d, k % d
-            by_out[x].append((y * d + z, value))
-            by_left[y].append((x, z, value))
-            by_right[z].append((x * d + y, value))
+            if min(x, y, z) >= low:
+                by_out[x - low].append(((y - low) * m + z - low, value))
+            if z >= low:
+                by_left[y].append((x, z - low, value))
+            if y >= low:
+                by_right[z].append((x * m + y - low, value))
     s = sign_pow(n - 1)
     columns = []
     for c in range(cols):
         column: dict[int, object] = {}
         for i in range(n):
             # e_c o_i mu puts the inputs y z of mu in place of b_i
-            w = d ** (n - 1 - i)
-            head, rest = divmod(c, w * d)
+            w = m ** (n - 1 - i)
+            head, rest = divmod(c, w * m)
             b_i, tail = divmod(rest, w)
-            base = head * w * d * d + tail
+            base = head * w * m * m + tail
             for yz, value in by_out[b_i]:
                 r = base + yz * w
                 column[r] = column.get(r, 0) + sign_pow(i) * value
-        a, b = divmod(c, d**n)
+        a, b = divmod(c, m**n)
         for x, z, value in by_left[a]:  # mu o_0 e_c: rows (x, b, z)
-            r = (x * d**n + b) * d + z
+            r = (x * m**n + b) * m + z
             column[r] = column.get(r, 0) - s * value
         for xy, value in by_right[a]:  # mu o_1 e_c: rows (x, y, b)
-            r = xy * d**n + b
+            r = xy * m**n + b
             column[r] = column.get(r, 0) - value
         columns.append(tuple(sorted((r, v) for r, v in column.items() if v)))
     return CoboundaryMatrix(n=n, rows=rows, cols=cols, columns=tuple(columns))
+
+
+def _unit_first(mu: list, d: int, unit: tuple) -> list:
+    """Structure constants of mu in a basis whose e_0 is the unit.
+
+    Some e_k with unit_k != 0 (one with unit_k = +-1 if there is one, which
+    keeps integer constants integral) gives way to the unit, which moves to
+    index 0; the others keep their order.  Products with the unit are
+    written down; the rest come from one pass over the nonzeros of mu that
+    do not involve e_k, rewriting an output e_k as (unit - sum of
+    unit_j e_j over j != k) / unit_k.
+    """
+    k = min((j for j in range(d) if unit[j]), key=lambda j: abs(unit[j]) != 1)
+    new = [j + 1 if j < k else j for j in range(d)]  # old index -> new index
+    out = [0] * d**3
+    for a in range(d):
+        out[a * d * d + a] = out[(a * d + a) * d] = 1
+    rewrite = [(new[j], u) for j, u in enumerate(unit) if u and j != k]
+    for flat, value in enumerate(mu):
+        x, y, z = flat // (d * d), flat // d % d, flat % d
+        if not value or y == k or z == k:
+            continue
+        yz = new[y] * d + new[z]
+        if x != k:
+            out[new[x] * d * d + yz] += value
+            continue
+        t = value / Fraction(unit[k])
+        out[yz] += t
+        for j, u in rewrite:
+            out[j * d * d + yz] -= u * t
+    return _exact_array(out).tolist()
 
 
 def _exact(values) -> list:
@@ -453,30 +523,37 @@ def _check_table_size(dim: int, n_max: int):
 
 
 def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
-    """Exact cohomology dimensions of an associative multiplication."""
+    """Exact cohomology dimensions of an associative multiplication, ranked
+    on the normalized complex when mu is unital (see the module docstring)."""
     _require_associative(spec)
     if n_max is None:
         n_max = default_n_max(spec.dim)
     if n_max < 0:
         raise DegreeMismatchError(f"n_max must be >= 0, got {n_max}")
     _check_table_size(spec.dim, n_max)
+    d, mu, low = spec.dim, spec.mu.coeffs.tolist(), 0
+    if spec.unit is not None:
+        mu, low = _unit_first(mu, d, spec.unit), 1
     dims = []
     ranks = []
     kernels = []
     betti = []
-    prev_rank = 0
+    prev_rank = prev_ranked = 0  # in degree n - 1: full complex, ranked one
     for n in range(n_max + 1):
-        dim_n = spec.dim ** (n + 1)
-        rank_n = exact_rank(coboundary_matrix(spec, n))
-        kernel_n = dim_n - rank_n
+        matrix = _coboundary(mu, d, n, low)
+        ranked = exact_rank(matrix)
+        betti_n = matrix.cols - ranked - prev_ranked
+        dim_n = d ** (n + 1)
+        kernel_n = betti_n + prev_rank
+        rank_n = dim_n - kernel_n
         dims.append(dim_n)
         ranks.append(rank_n)
         kernels.append(kernel_n)
-        betti.append(kernel_n - prev_rank)
-        prev_rank = rank_n
+        betti.append(betti_n)
+        prev_rank, prev_ranked = rank_n, ranked
     return BettiTable(
         name=spec.name,
-        dim=spec.dim,
+        dim=d,
         n_max=n_max,
         dims=tuple(dims),
         ranks=tuple(ranks),

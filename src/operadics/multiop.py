@@ -22,10 +22,12 @@ Every contraction runs on one kernel, the index plan of a brace signature
 (dim, deg h, deg g1..deg gk, sign), compiled once.  Stage j gathers, for
 every live prefix of insertion points, the slot gj fills as the last axis
 of a stack, and one matmul with gj as a (dim, dim**deg gj) matrix computes
-the stage.  The last stage gathers from [P, -P], so each term's Koszul sign
-is a choice of index.  partial_compose is the plan of one term.  A sum
-whose stacks would exceed _STACK_ENTRIES runs in chunks of terms, and only
-plans of at most _CACHED_ENTRIES indices are kept.
+the stage.  A plan with terms of both signs gathers its last stage from
+[P, -P], so each term's Koszul sign is a choice of index; a plan whose
+terms are all negative gathers from P and negates the result in place.
+partial_compose is the plan of one term.  A sum whose stacks would exceed
+_STACK_ENTRIES runs in chunks of terms, and only plans of at most
+_CACHED_ENTRIES indices are kept.
 
 Exact coefficients never overflow.  An exact op whose entries are all ints
 holds them as int64 together with a Python-int bound on their magnitude; a
@@ -460,13 +462,16 @@ def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
 def _evaluate(plan, arrays) -> np.ndarray:
     """The (terms, coefficients) stack of one plan's signed terms, given the
     coefficient arrays of h and of the gs."""
-    gathers, signed, out = plan
+    gathers, signs, out = plan
     src = arrays[0]
     for index, g in zip(gathers, arrays[1:]):
         src = np.matmul(src[index], g.reshape(index.shape[1], -1)).reshape(-1)
-    if signed:
+    if signs == 0:
         src = np.concatenate((src, -src))
-    return src[out]
+    stack = src[out]
+    if signs < 0:
+        np.negative(stack, out=stack)
+    return stack
 
 
 def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
@@ -477,7 +482,9 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
     prefix of insertion points, a layout: the flat position in the stage's
     product of every coefficient of the prefix's partial result.  Both
     index maps of a stage are transposes, one per insertion point.  Returns
-    (one gather index per stage, whether any term is negative, output index).
+    (one gather index per stage, signs, output index): signs is 1 when every
+    term is positive, -1 when every term is negative, and 0 when the output
+    index reads the signed terms from [P, -P].
     """
     slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
     slots += np.cumsum((0,) + tuple(n - 1 for n in degs[:-1]))
@@ -510,12 +517,12 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
         m += n - 1
     odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
     negative = odd if sign > 0 else ~odd
-    signed = bool(negative.any())
-    if signed:
+    signs = -1 if negative.all() else 0 if negative.any() else 1
+    if signs == 0:
         layout += negative[:, None] * layout.size
     for index in (*gathers, layout):
         index.setflags(write=False)
-    return tuple(gathers), signed, layout
+    return tuple(gathers), signs, layout
 
 
 def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:

@@ -711,6 +711,30 @@ PINNED = [
         0,
         "3550cca0e3f738600c2fe08bf74555e3611ba0c4a2a624e9113c621987b5f714",
     ),
+    # deep tables, which the normalized complex makes quick to pin
+    (
+        ("cohomology", "--algebra", "mat2.json", "--max-degree", "4"),
+        0,
+        "b2a80021aec20b565bf64c24bed8553878f0bce8d0138876f64344a712eefe57",
+    ),
+    (
+        (
+            "cohomology",
+            "--algebra",
+            "mat2.json",
+            "--max-degree",
+            "4",
+            "--format",
+            "machine",
+        ),
+        0,
+        "b5d6eda60501372b2bbcd9894608220f0a47ed63ed814dde93ea1a17fc4cd041",
+    ),
+    (
+        ("cohomology", "--algebra", "dual_numbers.json", "--max-degree", "14"),
+        0,
+        "39b62ae010787d3de89cb7e6607dc387dd41293dff802ebcc12c4dc16d3bc6f0",
+    ),
 ]
 
 

@@ -8,7 +8,9 @@ Betti numbers are frozen from hand derivations: a one-dimensional algebra
 has one-dimensional cohomology in degree 0 only; the two-dimensional
 nilpotent extension keeps one class per positive degree; the full 2x2
 matrix algebra has scalars in degree 0 and nothing above (all derivations
-inner, dimension counts 16 - 13 = 3 = kernel of the next map).
+inner, dimension counts 16 - 13 = 3 = kernel of the next map).  Betti
+tables of unital algebras, which rank the normalized complex, are checked
+against the full complex ranked degree by degree.
 """
 
 import json
@@ -183,6 +185,26 @@ def _nonassociative_spec():
     data[0 * 4 + 1 * 2 + 0] = 1
     mu = MultiOp(2, 2, ENDO, data)
     return AlgebraSpec(name="twisted", dim=2, mu=mu)
+
+
+def truncated_polynomials(k):
+    """Q[x]/(x^k) on the basis 1, x, .., x^(k-1)."""
+    mu = [0] * k**3
+    for y in range(k):
+        for z in range(k - y):
+            mu[((y + z) * k + y) * k + z] = 1
+    return AlgebraSpec.from_structure_constants(f"x^{k}", k, mu)
+
+
+def upper_triangular():
+    """Upper-triangular 2x2 matrices T2 on E11, E12, E22."""
+    units = [(0, 0), (0, 1), (1, 1)]
+    mu = [0] * 27
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                mu[(units.index((i, l)) * 3 + a) * 3 + b] = 1
+    return AlgebraSpec.from_structure_constants("T2", 3, mu)
 
 
 # --- exact rank -----------------------------------------------------------
@@ -444,14 +466,17 @@ def test_betti_table_mat2_frozen():
 
 def test_betti_tables_match_hochschild_at_larger_degree():
     # Hochschild 1945: a field and the separable M2(Q) have HH^n = 0 for
-    # n >= 1; Q[x]/(x^2) in characteristic 0 keeps one class per degree.
-    for name, n_max, want in (
-        ("field.json", 10, (1,) + (0,) * 10),
-        ("mat2.json", 3, (1, 0, 0, 0)),
-        ("dual_numbers.json", 8, (2,) + (1,) * 8),
+    # n >= 1; Q[x]/(x^2) in characteristic 0 keeps one class per degree,
+    # Q[x]/(x^3) two; T2 is hereditary with a connected quiver, so only
+    # HH^0 = 1 survives.
+    for spec, n_max, want in (
+        (load_algebra(bundled_path("field.json")), 10, (1,) + (0,) * 10),
+        (load_algebra(bundled_path("mat2.json")), 3, (1, 0, 0, 0)),
+        (load_algebra(bundled_path("dual_numbers.json")), 8, (2,) + (1,) * 8),
+        (truncated_polynomials(3), 6, (3,) + (2,) * 6),
+        (upper_triangular(), 6, (1,) + (0,) * 6),
     ):
-        table = betti_table(load_algebra(bundled_path(name)), n_max)
-        assert table.betti == want, name
+        assert betti_table(spec, n_max).betti == want, spec.name
 
 
 def test_default_n_max_policy():
@@ -582,3 +607,138 @@ def test_cocycle_helpers_require_associativity():
     spec = _nonassociative_spec()
     with pytest.raises(NotAssociativeError):
         cocycle_basis(spec, 1)
+
+
+# --- the normalized complex --------------------------------------------------
+
+
+def full_table(spec, n_max):
+    """The Betti table ranked on the full complex, degree by degree: the
+    oracle of betti_table's normalized path."""
+    dims, ranks, kernels, betti = [], [], [], []
+    prev_rank = 0
+    for n in range(n_max + 1):
+        dims.append(spec.dim ** (n + 1))
+        ranks.append(exact_rank(coboundary_matrix(spec, n)))
+        kernels.append(dims[-1] - ranks[-1])
+        betti.append(kernels[-1] - prev_rank)
+        prev_rank = ranks[-1]
+    return tuple(dims), tuple(ranks), tuple(kernels), tuple(betti)
+
+
+def scaled_dual_numbers():
+    """Q[x]/(x^2) on the basis 1/2, x, whose unit is 2 e_0."""
+    half = Fraction(1, 2)
+    return AlgebraSpec.from_structure_constants(
+        "scaled", 2, [half, 0, 0, 0, 0, half, half, 0]
+    )
+
+
+def rebased(spec, rng):
+    """spec in the basis of the columns of a random unimodular integer
+    matrix P, with its unit in the new coordinates (Q = P^-1 times it)."""
+    d = spec.dim
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    q = [row[:] for row in p]
+    for _ in range(d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        t = rng.choice((-1, 1))
+        # P <- P (I + t E_ij) and Q <- (I - t E_ij) Q
+        for row in p:
+            row[j] += t * row[i]
+        q[i] = [a - t * b for a, b in zip(q[i], q[j])]
+    mu = spec.mu.coeffs.reshape(d, d, d)
+    out = [0] * d**3
+    for x2 in range(d):
+        for y2 in range(d):
+            for z2 in range(d):
+                out[(x2 * d + y2) * d + z2] = sum(
+                    q[x2][x] * mu[x, y, z] * p[y][y2] * p[z][z2]
+                    for x in range(d)
+                    for y in range(d)
+                    for z in range(d)
+                    if mu[x, y, z]
+                )
+    unit = None
+    if spec.unit is not None:
+        unit = tuple(sum(q[i][j] * spec.unit[j] for j in range(d)) for i in range(d))
+    return AlgebraSpec.from_structure_constants(spec.name, d, out), unit
+
+
+# (spec, its unit, the degree where its full table takes about 1 s)
+def unital_cases():
+    return [
+        (load_algebra(bundled_path("field.json")), (1,), 20),
+        (load_algebra(bundled_path("dual_numbers.json")), (1, 0), 12),
+        (load_algebra(bundled_path("mat2.json")), (1, 0, 0, 1), 4),
+        (truncated_polynomials(3), (1, 0, 0), 5),
+        (upper_triangular(), (1, 0, 1), 6),
+        (scaled_dual_numbers(), (2, 0), 11),
+    ]
+
+
+def one_sided_unit():
+    """a b = b for all a, b on dim 2: associative, every e_j a left unit,
+    no right unit."""
+    mu = [int(x == z) for x in range(2) for y in range(2) for z in range(2)]
+    return AlgebraSpec.from_structure_constants("left units", 2, mu)
+
+
+def test_betti_table_equals_the_full_complex_on_unital_algebras():
+    for spec, unit, n_max in unital_cases():
+        assert spec.unit == unit, spec.name
+        table = betti_table(spec, n_max)
+        got = (table.dims, table.ranks, table.kernels, table.betti)
+        assert got == full_table(spec, n_max), spec.name
+
+
+def test_betti_table_is_invariant_under_unimodular_changes_of_basis():
+    rng = random.Random(13)
+    cases = [(spec, n_max) for spec, _, n_max in unital_cases()[1:]]
+    for spec, n_max in cases:
+        for _ in range(2):
+            other, unit = rebased(spec, rng)
+            assert other.is_associative() and other.unit == unit, spec.name
+            # the change merges the blocks of the full complex; keep it quick
+            depth = min(n_max, {2: 6, 3: 3, 4: 2}[spec.dim])
+            table = betti_table(other, depth)
+            got = (table.dims, table.ranks, table.kernels, table.betti)
+            assert got == full_table(other, depth), spec.name
+            assert table.betti == betti_table(spec, depth).betti, spec.name
+
+
+def test_non_unital_algebras_take_the_full_complex():
+    zero = AlgebraSpec.from_structure_constants("zero", 1, [0])
+    left = one_sided_unit()
+    for spec, n_max in ((zero, 12), (left, 6)):
+        assert spec.unit is None, spec.name
+        table = betti_table(spec, n_max)
+        got = (table.dims, table.ranks, table.kernels, table.betti)
+        assert got == full_table(spec, n_max), spec.name
+    assert AlgebraSpec.from_structure_constants("zero", 2, [0] * 8).unit is None
+
+
+def test_normalized_matrix_is_the_unit_first_submatrix():
+    for spec, _, n_max in unital_cases():
+        d = spec.dim
+        mu = cohomology._unit_first(spec.mu.coeffs.tolist(), d, spec.unit)
+        first = AlgebraSpec.from_structure_constants(spec.name, d, mu)
+        assert first.unit == (1,) + (0,) * (d - 1), spec.name
+
+        def full_index(c, n):
+            # compact index: output digit, then n input digits less 1 in base d - 1
+            a, digits = divmod(c, (d - 1) ** n)
+            out = a
+            for i in reversed(range(n)):
+                out = out * d + digits // (d - 1) ** i % (d - 1) + 1
+            return out
+
+        for n in range(min(n_max, 4) + 1):
+            full = coboundary_matrix(first, n)
+            normalized = cohomology._coboundary(mu, d, n, 1)
+            assert normalized.cols == d * (d - 1) ** n
+            assert normalized.rows == d * (d - 1) ** (n + 1)
+            for c, column in enumerate(normalized.columns):
+                want = full.columns[full_index(c, n)]
+                # equal entries and no entry outside the normalized rows
+                assert [(full_index(r, n + 1), v) for r, v in column] == list(want)

@@ -547,9 +547,11 @@ def reference_plan(d, deg_h, degs, sign, rows):
         m += n - 1
     odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
     negative = odd if sign > 0 else ~odd
-    signed = bool(negative.any())
-    out = layout + negative[:, None] * layout.size if signed else layout
-    return tuple(gathers), signed, out
+    if negative.all():
+        return tuple(gathers), -1, layout
+    if negative.any():
+        return tuple(gathers), 0, layout + negative[:, None] * layout.size
+    return tuple(gathers), 1, layout
 
 
 def test_plan_indices_equal_the_reference_builder():
