@@ -17,6 +17,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cohomology import betti_table, load_algebra
-from .dynamics import integrate, load_initial_op, load_lax_system
+from .dynamics import integrate, load_initial_op, load_lax_system, require_finite
 from .errors import (
     ConfigError,
     NonFiniteError,
@@ -64,6 +65,7 @@ _EXIT_CODES = {
 }
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="operadics",
@@ -265,11 +267,14 @@ def _cmd_oscillator(args) -> tuple[int, str]:
     size = traj.coeffs.shape[1]
     columns = ["t", "q", "p", "H", *system.observe, *(f"L{k}" for k in range(size))]
     q, p = traj.state.T
+    with np.errstate(over="ignore"):
+        energy = hamiltonian(q, p, params.omega)
+    require_finite(energy, system.dt, "H")
     table = np.column_stack(
         [
             traj.t,
             traj.state,
-            hamiltonian(q, p, params.omega),
+            energy,
             *(traj.invariants[name] for name in system.observe),
             traj.coeffs,
         ]

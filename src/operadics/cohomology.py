@@ -14,14 +14,14 @@ convention that nothing maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
-When mu has a two-sided unit (AlgebraSpec.unit), betti_table ranks the
-normalized complex (Loday, Cyclic Homology 1.5.7): in a basis whose e_0 is
-the unit, the cochains that vanish whenever an input is e_0 form a
-subcomplex with the same cohomology and d * (d - 1)**n cochains in degree n
-against d**(n+1).  The printed columns of the full complex follow from the
-Betti numbers: kernel_n = H^n + rank_(n-1) and rank_n = dim C^n - kernel_n.
-Non-unital algebras, is_coboundary and cocycle_basis keep the full complex,
-whose cochains are in the given basis.
+When mu has a two-sided unit u (AlgebraSpec.unit), betti_table ranks the
+normalized complex (Loday, Cyclic Homology 1.5.7): the cochains that vanish
+whenever an input is u form a subcomplex with the same cohomology and
+d * (d - 1)**n cochains in degree n against d**(n+1).  It is built in the
+given basis, without rewriting mu (see _coboundary).  The printed columns
+of the full complex follow from the Betti numbers: kernel_n = H^n +
+rank_(n-1) and rank_n = dim C^n - kernel_n.  Non-unital algebras,
+is_coboundary and cocycle_basis keep the full complex.
 
 The complex only makes sense when mu is associative (the coboundary squares
 to the action of the associator tensor); betti_table refuses non-associative
@@ -196,20 +196,29 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
     rows = spec.dim ** (n + 2)
     if rows > SIZE_CAP:
         raise SizeCapError(f"coboundary target needs {rows} coefficients")
-    return _coboundary(spec.mu.coeffs.tolist(), spec.dim, n, 0)
+    return _coboundary(spec.mu.coeffs.tolist(), spec.dim, n)
 
 
-def _coboundary(mu: list, d: int, n: int, low: int) -> CoboundaryMatrix:
-    """The coboundary on the degree-n cochains whose input digits are >= low.
+def _coboundary(mu: list, d: int, n: int, unit=None) -> CoboundaryMatrix:
+    """The coboundary on degree-n cochains of the flat structure constants
+    mu: the full complex, or given the unit u of mu the normalized one.
 
-    mu is the flat list of structure constants.  low = 0 gives the full
-    complex.  low = 1, when e_0 is the unit of mu, gives the normalized
-    complex: the coboundary of a cochain that vanishes whenever an input is
-    e_0 is again such a cochain, so the block of cochains with every input
-    digit >= 1 is a subcomplex, the rest of its columns being zero.  Its
-    cochains are numbered compactly, input digits less low in base d - low.
+    A cochain that vanishes on u is fixed by its values on inputs that skip
+    one e_k with u_k != 0 (|u_k| = 1 if possible, which keeps integer
+    constants integral), as e_k = (u - sum of u_j e_j over j != k) / u_k.
+    So inputs skip digit k, numbered compactly in base d - 1, and outputs
+    keep all d digits of the given basis.  The one rewrite is an inner
+    product that lands on e_k and feeds an input: e_k enters as the sum of
+    -(u_j / u_k) e_j over j != k.
     """
-    m = d - low
+    k, rewrite = d, ()  # without a unit no input digit is skipped
+    if unit is not None:
+        k = min((j for j in range(d) if unit[j]), key=lambda j: abs(unit[j]) != 1)
+        uk = unit[k]
+        rewrite = [(j, Fraction(-u, uk)) for j, u in enumerate(unit) if u and j != k]
+        rewrite = [(j, int(r) if r.denominator == 1 else r) for j, r in rewrite]
+    m = d - (k < d)
+    at = [j - (j > k) for j in range(d)]  # input digit -> compact digit
     rows = d * m ** (n + 1)
     cols = d * m**n
     # d e_c = [e_c, mu] = e_c . mu - s mu . e_c with s = (-1)**(n-1).  Writing
@@ -217,19 +226,24 @@ def _coboundary(mu: list, d: int, n: int, low: int) -> CoboundaryMatrix:
     # e_c o_i mu and s on mu o_1 e_c, so (as s * s = 1)
     #     d e_c = sum_i (-1)**i e_c o_i mu - s mu o_0 e_c - mu o_1 e_c.
     # e_c has output a and inputs b = (b_0..b_(n-1)); mu[x, y, z] is x in y z.
-    # Each list keeps the terms whose digits that become inputs are >= low.
-    by_out = [[] for _ in range(d)]  # x - low -> (y z as one index, value)
-    by_left = [[] for _ in range(d)]  # y -> (x, z - low, value)
+    # Each table keeps the terms whose digits that become inputs are not k.
+    by_out = [{} for _ in range(m)]  # compact x -> {y z as one index: value}
+    by_left = [[] for _ in range(d)]  # y -> (x, compact z, value)
     by_right = [[] for _ in range(d)]  # z -> (x y as one index, value)
-    for k, value in enumerate(mu):
+    for flat, value in enumerate(mu):
         if value:
-            x, y, z = k // (d * d), k // d % d, k % d
-            if min(x, y, z) >= low:
-                by_out[x - low].append(((y - low) * m + z - low, value))
-            if z >= low:
-                by_left[y].append((x, z - low, value))
-            if y >= low:
-                by_right[z].append((x * m + y - low, value))
+            x, y, z = flat // (d * d), flat // d % d, flat % d
+            if k not in (y, z):
+                yz = at[y] * m + at[z]
+                # an output e_k that feeds an input enters as its rewrite
+                for j, r in rewrite if x == k else ((x, 1),):
+                    out = by_out[at[j]]
+                    out[yz] = out.get(yz, 0) + r * value
+            if z != k:
+                by_left[y].append((x, at[z], value))
+            if y != k:
+                by_right[z].append((x * m + at[y], value))
+    by_out = [list(out.items()) for out in by_out]
     s = sign_pow(n - 1)
     columns = []
     for c in range(cols):
@@ -252,37 +266,6 @@ def _coboundary(mu: list, d: int, n: int, low: int) -> CoboundaryMatrix:
             column[r] = column.get(r, 0) - value
         columns.append(tuple(sorted((r, v) for r, v in column.items() if v)))
     return CoboundaryMatrix(n=n, rows=rows, cols=cols, columns=tuple(columns))
-
-
-def _unit_first(mu: list, d: int, unit: tuple) -> list:
-    """Structure constants of mu in a basis whose e_0 is the unit.
-
-    Some e_k with unit_k != 0 (one with unit_k = +-1 if there is one, which
-    keeps integer constants integral) gives way to the unit, which moves to
-    index 0; the others keep their order.  Products with the unit are
-    written down; the rest come from one pass over the nonzeros of mu that
-    do not involve e_k, rewriting an output e_k as (unit - sum of
-    unit_j e_j over j != k) / unit_k.
-    """
-    k = min((j for j in range(d) if unit[j]), key=lambda j: abs(unit[j]) != 1)
-    new = [j + 1 if j < k else j for j in range(d)]  # old index -> new index
-    out = [0] * d**3
-    for a in range(d):
-        out[a * d * d + a] = out[(a * d + a) * d] = 1
-    rewrite = [(new[j], u) for j, u in enumerate(unit) if u and j != k]
-    for flat, value in enumerate(mu):
-        x, y, z = flat // (d * d), flat // d % d, flat % d
-        if not value or y == k or z == k:
-            continue
-        yz = new[y] * d + new[z]
-        if x != k:
-            out[new[x] * d * d + yz] += value
-            continue
-        t = value / Fraction(unit[k])
-        out[yz] += t
-        for j, u in rewrite:
-            out[j * d * d + yz] -= u * t
-    return _exact_array(out).tolist()
 
 
 def _exact(values) -> list:
@@ -531,16 +514,14 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
     if n_max < 0:
         raise DegreeMismatchError(f"n_max must be >= 0, got {n_max}")
     _check_table_size(spec.dim, n_max)
-    d, mu, low = spec.dim, spec.mu.coeffs.tolist(), 0
-    if spec.unit is not None:
-        mu, low = _unit_first(mu, d, spec.unit), 1
+    d, mu = spec.dim, spec.mu.coeffs.tolist()
     dims = []
     ranks = []
     kernels = []
     betti = []
     prev_rank = prev_ranked = 0  # in degree n - 1: full complex, ranked one
     for n in range(n_max + 1):
-        matrix = _coboundary(mu, d, n, low)
+        matrix = _coboundary(mu, d, n, spec.unit)
         ranked = exact_rank(matrix)
         betti_n = matrix.cols - ranked - prev_ranked
         dim_n = d ** (n + 1)

@@ -258,7 +258,8 @@ def integrate(system: LaxSystem) -> Trajectory:
     y + hA(y + hA/2 (y + hA/3 (y + hA/4 y))), four products with the
     sparse triplets of _rhs_triplets whose weights hA/j are scaled once per
     run.  Sample j is row j of one preallocated array.  The rows are
-    checked for finiteness once per block of _CHECK_STEPS steps.
+    checked for finiteness once per block of _CHECK_STEPS steps, and each
+    observer's samples once, under the same silenced overflow warnings.
     """
     rows, cols, vals, width = _rhs_triplets(
         _as_float(system.m), system.l0.degree, system.state_matrix
@@ -271,7 +272,7 @@ def integrate(system: LaxSystem) -> Trajectory:
     traj = np.empty((steps + 1, width))
     traj[0, :ns] = system.state0
     traj[0, ns:] = system.l0.coeffs
-    # overflow surfaces as the NonFiniteError below, not as a numpy warning
+    # overflow surfaces as a NonFiniteError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, _CHECK_STEPS):
             stop = min(start + _CHECK_STEPS, steps)
@@ -282,20 +283,28 @@ def integrate(system: LaxSystem) -> Trajectory:
                     terms *= w
                     u = y + np.bincount(rows, terms, width)
                 traj[k + 1] = u
-            finite = np.isfinite(traj[start : stop + 1]).all(axis=1)
-            if not finite.all():
-                first_bad = start + int(finite.argmin())
-                raise NonFiniteError(f"non-finite coefficients at t = {first_bad * dt}")
-    coeffs = traj[:, ns:]
+            require_finite(traj[start : stop + 1], dt, "coefficients", start)
+        coeffs = traj[:, ns:]
+        invariants = {
+            n: evaluate_observer(n, coeffs, system.m.dim) for n in system.observe
+        }
+        for name, values in invariants.items():
+            require_finite(values, dt, f"observer {name!r}")
     return Trajectory(
         t=np.arange(steps + 1) * dt,
         state=traj[:, :ns],
         coeffs=coeffs,
-        invariants={
-            name: evaluate_observer(name, coeffs, system.m.dim)
-            for name in system.observe
-        },
+        invariants=invariants,
     )
+
+
+def require_finite(samples: np.ndarray, dt: float, what: str, start: int = 0):
+    """Raise NonFiniteError at the first sample with a non-finite value; row
+    j of samples is sample start + j, at t = (start + j) * dt."""
+    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
+    if not finite.all():
+        first = start + int(finite.argmin())
+        raise NonFiniteError(f"non-finite {what} at t = {first * dt}")
 
 
 def matrix_exp(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:

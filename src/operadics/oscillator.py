@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LaxSystem, conjugation_oracle
-from .errors import ConfigError, DegreeMismatchError, DimMismatchError
+from .errors import ConfigError, DegreeMismatchError, DimMismatchError, NonFiniteError
 from .multiop import ENDO, MultiOp, max_abs_diff
 
 
@@ -135,7 +135,10 @@ def monodromy_report(params: OscillatorParams, tol: float = 1e-8) -> MonodromyRe
     so their defect is 2 * op_norm(l_init) for generic initial data.
     """
     l_init = resolve_l_init(params)
-    defect = float(max_abs_diff(transport_solution(params, params.period), l_init))
+    with np.errstate(over="ignore"):
+        defect = float(max_abs_diff(transport_solution(params, params.period), l_init))
+    if not math.isfinite(defect):
+        raise NonFiniteError(f"non-finite monodromy defect {defect}")
     return MonodromyReport(
         degree=params.degree,
         period=params.period,

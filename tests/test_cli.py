@@ -45,6 +45,20 @@ def run_twice(*args):
     return first
 
 
+def test_in_process_calls_share_no_parser_state(capsys):
+    # the parser is built once per process; each call must still parse
+    # from the defaults alone
+    runs = [
+        ["cohomology", "--algebra", str(bundled_path("dual_numbers.json"))],
+        ["verify", "--cases", "2"],
+        ["lax", "--system", str(bundled_path("lax_deg1.json"))],
+    ]
+    runs.insert(0, [*runs[0], "--format", "machine"])
+    for args in runs:
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == run_cli(*args).stdout, args
+
+
 # --- bundled data ------------------------------------------------------------
 
 
@@ -523,6 +537,49 @@ def test_oscillator_degree_two_with_l_init(tmp_path):
     lines = r.stdout.splitlines()
     assert lines[0].startswith("t,q,p,H,assoc_defect,L0")
     assert "periodic=false" in lines[-1]
+
+
+def _scaled_lax_file(tmp_path):
+    doc = json.loads(bundled_path("lax_deg2.json").read_text())
+    doc["L0"]["coeffs"] = [c * 1e160 for c in doc["L0"]["coeffs"]]
+    doc.update(dt=0.001, t_end=0.003)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return ["lax", "--system", str(path)]
+
+
+def _huge_l_init(tmp_path, coeffs, *flags):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"degree": 2, "coeffs": coeffs}))
+    args = ["oscillator", "--degree", "2", "--l-init", str(path), "--t-end", "0.002"]
+    return args + list(flags)
+
+
+@pytest.mark.parametrize(
+    "make_args, what",
+    [
+        (
+            lambda tmp: "oscillator --q0 1e200 --p0 1e200 --t-end 0.003".split(),
+            "observer 'trace2'",
+        ),
+        (_scaled_lax_file, "observer 'assoc_defect'"),
+        (
+            lambda tmp: _huge_l_init(tmp, [1e308, 0, 0, 0, 0, 0, 0, 1e308]),
+            "observer 'assoc_defect'",
+        ),
+        # L stays small; only the classical state overflows H
+        (
+            lambda tmp: _huge_l_init(tmp, [1.0] + [0] * 6 + [1.0], "--q0", "1e200"),
+            "H",
+        ),
+    ],
+)
+def test_non_finite_observers_exit_five(tmp_path, make_args, what):
+    for fmt in ("text", "machine"):
+        r = run_cli(*make_args(tmp_path), "--format", fmt)
+        assert_one_line_error(r, 5)
+        assert r.stderr == f"error: non-finite {what} at t = 0.0\n"
+        assert r.stdout == ""
 
 
 def test_oscillator_machine_monodromy_block():

@@ -10,7 +10,8 @@ nilpotent extension keeps one class per positive degree; the full 2x2
 matrix algebra has scalars in degree 0 and nothing above (all derivations
 inner, dimension counts 16 - 13 = 3 = kernel of the next map).  Betti
 tables of unital algebras, which rank the normalized complex, are checked
-against the full complex ranked degree by degree.
+against the full complex ranked degree by degree, and each normalized
+column against the brace-kernel coboundary of its lift to a full cochain.
 """
 
 import json
@@ -46,7 +47,7 @@ from operadics.errors import (
     ParseError,
     SizeCapError,
 )
-from operadics.multiop import ENDO, MultiOp, is_zero, zero_op
+from operadics.multiop import ENDO, MultiOp, is_zero, partial_compose, zero_op
 from operadics.scalars import format_exact
 
 
@@ -718,27 +719,50 @@ def test_non_unital_algebras_take_the_full_complex():
     assert AlgebraSpec.from_structure_constants("zero", 2, [0] * 8).unit is None
 
 
-def test_normalized_matrix_is_the_unit_first_submatrix():
+def unit_projection(spec):
+    """The degree-1 op P that fixes e_j for j != k and sends e_k to
+    -sum of (u_j / u_k) e_j over j != k, so that P(u) = 0; k is the input
+    digit the normalized complex skips."""
+    d, u = spec.dim, spec.unit
+    k = min((j for j in range(d) if u[j]), key=lambda j: abs(u[j]) != 1)
+    p = np.zeros(d * d, dtype=object)  # p[x * d + y] is e_x in P(e_y)
+    for j in range(d):
+        p[j * d + j] = int(j != k)
+        if j != k:
+            r = -Fraction(u[j]) / u[k]
+            p[j * d + k] = r.numerator if r.denominator == 1 else r
+    return MultiOp(d, 1, ENDO, p), k
+
+
+def lift(spec, projection, k, n, column):
+    """The normalized degree-n cochain whose values on inputs avoiding
+    e_k are the compact column [(index, value)]: the elementary ops it
+    names, composed with P on every input."""
+    d = spec.dim
+    data = np.zeros(d ** (n + 1), dtype=object)
+    for index, value in column:
+        a, rest = divmod(index, (d - 1) ** n)
+        full = a
+        for i in reversed(range(n)):
+            digit = rest // (d - 1) ** i % (d - 1)
+            full = full * d + digit + (digit >= k)
+        data[full] = value
+    f = MultiOp(d, n, ENDO, data)
+    for i in range(n):
+        f = partial_compose(f, projection, i)
+    return f
+
+
+def test_normalized_matrix_equals_the_brace_kernel_on_lifted_cochains():
     for spec, _, n_max in unital_cases():
         d = spec.dim
-        mu = cohomology._unit_first(spec.mu.coeffs.tolist(), d, spec.unit)
-        first = AlgebraSpec.from_structure_constants(spec.name, d, mu)
-        assert first.unit == (1,) + (0,) * (d - 1), spec.name
-
-        def full_index(c, n):
-            # compact index: output digit, then n input digits less 1 in base d - 1
-            a, digits = divmod(c, (d - 1) ** n)
-            out = a
-            for i in reversed(range(n)):
-                out = out * d + digits // (d - 1) ** i % (d - 1) + 1
-            return out
-
-        for n in range(min(n_max, 4) + 1):
-            full = coboundary_matrix(first, n)
-            normalized = cohomology._coboundary(mu, d, n, 1)
-            assert normalized.cols == d * (d - 1) ** n
-            assert normalized.rows == d * (d - 1) ** (n + 1)
-            for c, column in enumerate(normalized.columns):
-                want = full.columns[full_index(c, n)]
-                # equal entries and no entry outside the normalized rows
-                assert [(full_index(r, n + 1), v) for r, v in column] == list(want)
+        projection, k = unit_projection(spec)
+        mu = spec.mu.coeffs.tolist()
+        for n in range(min(n_max, 3) + 1):
+            matrix = cohomology._coboundary(mu, d, n, spec.unit)
+            assert matrix.cols == d * (d - 1) ** n
+            assert matrix.rows == d * (d - 1) ** (n + 1)
+            for c, column in enumerate(matrix.columns):
+                f = lift(spec, projection, k, n, [(c, 1)])
+                want = lift(spec, projection, k, n + 1, column)
+                assert coboundary(spec.mu, f) == want, (spec.name, n, c)

@@ -7,6 +7,8 @@ closed-form conjugation solution, and the file loaders.
 import json
 import math
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,6 +403,18 @@ def test_divergent_run_raises_non_finite():
     with pytest.raises(NonFiniteError) as info:
         integrate(system)
     assert str(info.value) == f"non-finite coefficients at t = {float(step)}"
+
+
+def test_non_finite_observer_raises_without_warnings():
+    # the bundled degree-2 system with L0 scaled by 1e160: the coefficients
+    # stay finite, but L.L overflows, so assoc_defect is nan from t = 0
+    system = load_lax_system(bundled_path("lax_deg2.json"))
+    big = _float_op(2, 2, system.l0.coeffs * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as info:
+            integrate(replace(system, l0=big, dt=0.001, t_end=0.003))
+    assert str(info.value) == "non-finite observer 'assoc_defect' at t = 0.0"
 
 
 def test_state_integration_rides_along():

@@ -4,12 +4,18 @@ and period-transport behavior by degree.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from operadics.dynamics import evaluate_observer, integrate, lax_rhs, matrix_exp
-from operadics.errors import ConfigError, DegreeMismatchError, DimMismatchError
+from operadics.errors import (
+    ConfigError,
+    DegreeMismatchError,
+    DimMismatchError,
+    NonFiniteError,
+)
 from operadics.multiop import (
     ENDO,
     FLOAT,
@@ -154,6 +160,16 @@ def test_monodromy_by_degree():
     r3 = monodromy_report(p3)
     assert r3.periodic and r3.defect < 1e-10
     assert r3.period == pytest.approx(math.pi)
+
+
+def test_non_finite_monodromy_defect_raises_without_warnings():
+    # exp(TM) = -identity sends 1e308 to -1e308, and their difference overflows
+    huge = _float_op(2, [1e308, 0, 0, 0, 0, 0, 0, 1e308])
+    params = OscillatorParams(omega=2.0, q0=1.0, p0=0.0, degree=2, l_init=huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            monodromy_report(params)
 
 
 # --- parameter validation --------------------------------------------------------
