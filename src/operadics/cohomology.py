@@ -157,7 +157,7 @@ def algebra_from_json(text: str) -> AlgebraSpec:
         raise ParseError(f"algebra file is missing key {exc}") from None
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("'dim' must be a positive integer")
     if dim**3 > SIZE_CAP:
         raise ParseError(f"'mu' for this 'dim' needs more than {SIZE_CAP} scalars")

@@ -11,9 +11,12 @@ The integrator works on the float backend throughout.  The Lax right-hand
 side is linear in L and the classical state follows a constant linear field,
 so the whole right-hand side is one sparse linear map on a sample row
 (state, L): (row, column, value) triplets, one per (row, column) pair,
-built once per run by index arithmetic on M and never densified.  On a
-constant linear field RK4 is its stability polynomial, so each step is
-that polynomial in Horner form, four triplet products.  A run fills one
+built once per run by index arithmetic on M.  On a constant linear field
+RK4 is its stability polynomial, so each step is that polynomial in
+Horner form.  Small systems, where a dense matrix-vector product costs no
+more than four triplet products, apply it as one dense propagator matrix
+built once per run; the rest step with four triplet products, the only
+form that fits every system under the caps.  A run fills one
 preallocated array, a row per sample, and each observer then runs once
 over all rows.
 """
@@ -253,13 +256,18 @@ def integrate(system: LaxSystem) -> Trajectory:
 
     The right-hand side is a constant linear field y' = Ay, and on such a
     field the classical four-stage RK4 step is exactly its stability
-    polynomial, y + hA y + (hA)^2 y / 2 + (hA)^3 y / 6 + (hA)^4 y / 24.
-    Each step evaluates it in Horner form,
-    y + hA(y + hA/2 (y + hA/3 (y + hA/4 y))), four products with the
-    sparse triplets of _rhs_triplets whose weights hA/j are scaled once per
-    run.  Sample j is row j of one preallocated array.  The rows are
-    checked for finiteness once per block of _CHECK_STEPS steps, and each
-    observer's samples once, under the same silenced overflow warnings.
+    polynomial, y + hA y + (hA)^2 y / 2 + (hA)^3 y / 6 + (hA)^4 y / 24, in
+    Horner form y + hA(y + hA/2 (y + hA/3 (y + hA/4 y))).  Where
+    _dense_propagator builds that polynomial as a dense matrix (width^2 <=
+    4 * len(rows) and every entry finite), each step is one product with
+    it.  Otherwise each step is four products with the sparse triplets of
+    _rhs_triplets, whose weights hA/j are scaled once per run: the only
+    form that fits large systems, and one that keeps finite the runs whose
+    dense matrix overflows.
+
+    Sample j is row j of one preallocated array.  The rows are checked for
+    finiteness once per block of _CHECK_STEPS steps, and each observer's
+    samples once, under the same silenced overflow warnings.
     """
     rows, cols, vals, width = _rhs_triplets(
         _as_float(system.m), system.l0.degree, system.state_matrix
@@ -274,15 +282,20 @@ def integrate(system: LaxSystem) -> Trajectory:
     traj[0, ns:] = system.l0.coeffs
     # overflow surfaces as a NonFiniteError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        propagator = _dense_propagator(rows, cols, weights, width)
         for start in range(0, steps, _CHECK_STEPS):
             stop = min(start + _CHECK_STEPS, steps)
-            for k in range(start, stop):
-                y = u = traj[k]
-                for w in weights:
-                    terms = u[cols]
-                    terms *= w
-                    u = y + np.bincount(rows, terms, width)
-                traj[k + 1] = u
+            if propagator is not None:
+                for k in range(start, stop):
+                    np.matmul(propagator, traj[k], out=traj[k + 1])
+            else:
+                for k in range(start, stop):
+                    y = u = traj[k]
+                    for w in weights:
+                        terms = u[cols]
+                        terms *= w
+                        u = y + np.bincount(rows, terms, width)
+                    traj[k + 1] = u
             require_finite(traj[start : stop + 1], dt, "coefficients", start)
         coeffs = traj[:, ns:]
         invariants = {
@@ -296,6 +309,28 @@ def integrate(system: LaxSystem) -> Trajectory:
         coeffs=coeffs,
         invariants=invariants,
     )
+
+
+def _dense_propagator(rows, cols, weights, width):
+    """R = I + hA(I + hA/2 (I + hA/3 (I + hA/4))) from the Horner weights.
+
+    R is built only when width^2 <= 4 * len(rows), where one dense product
+    costs no more multiply-adds than the four triplet products; that keeps
+    it to about 51 columns, while a dense operator of a system at the caps
+    could take 32 GiB.  None otherwise, and None when R has a non-finite
+    entry: the triplet steps keep such runs finite (an infinite entry times
+    a zero coefficient would be nan).  Each (row, col) pair occurs once in
+    the triplets, so the weights are placed rather than summed.
+    """
+    if width * width > 4 * len(rows):
+        return None
+    eye = np.eye(width)
+    out = eye
+    factor = np.zeros((width, width))
+    for w in weights:
+        factor[rows, cols] = w
+        out = eye + factor @ out
+    return out if np.isfinite(out).all() else None
 
 
 def require_finite(samples: np.ndarray, dt: float, what: str, start: int = 0):
@@ -367,7 +402,7 @@ def _op_from_doc(doc, dim: int, what: str) -> MultiOp:
         coeffs = doc["coeffs"]
     except KeyError as exc:
         raise ParseError(f"{what} is missing key {exc}") from None
-    if not isinstance(degree, int) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise ParseError(f"{what} degree must be a positive integer")
     # bounded before dim ** (degree + 1) is computed or degree is printed
     if degree >= SIZE_CAP or dim ** (degree + 1) > SIZE_CAP:
@@ -411,7 +446,7 @@ def load_lax_system(path) -> LaxSystem:
         if key not in doc:
             raise ParseError(f"system file is missing key '{key}'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("'dim' must be a positive integer")
     if dim * dim > SIZE_CAP:
         raise ParseError(f"'M' for this 'dim' needs more than {SIZE_CAP} coefficients")

@@ -489,6 +489,32 @@ def test_huge_dim_in_input_file_is_a_parse_error(tmp_path, args, doc):
     assert_one_line_error(run_cli(*args, str(path), timeout=30), 4)
 
 
+def test_json_true_is_not_an_integer_dim_or_degree(tmp_path):
+    # bool is a subclass of int in Python, so true once passed as 1
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"name": "x", "dim": True, "mu": ["1"]}))
+    system = tmp_path / "system.json"
+    system.write_text(
+        json.dumps(
+            {
+                "dim": True,
+                "M": [0.0],
+                "L0": {"degree": 1, "coeffs": [1.0]},
+                "dt": 0.1,
+                "t_end": 0.2,
+            }
+        )
+    )
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"degree": True, "coeffs": [1.0, 0.0, 0.0, 1.0]}))
+    for args in (
+        ("cohomology", "--algebra", str(algebra)),
+        ("lax", "--system", str(system)),
+        ("oscillator", "--l-init", str(init), "--t-end", "0.002"),
+    ):
+        assert_one_line_error(run_cli(*args), 4)
+
+
 def test_lax_out_file_matches_stdout(tmp_path):
     out = tmp_path / "run.csv"
     args = ("lax", "--system", str(bundled_path("lax_deg1.json")), "--t-end", "0.01")

@@ -1,7 +1,9 @@
 """Lax flows: right-hand sides against kron oracles, the operator's
-triplets against its basis-vector build, the Horner step against the RK4
-stage form, stacked observers against per-sample ones, RK4 against the
-closed-form conjugation solution, and the file loaders.
+triplets against its basis-vector build, both step forms (the dense RK4
+propagator and the Horner triplet products) against the RK4 stage form,
+the triplet steps kept when the propagator overflows, stacked observers
+against per-sample ones, RK4 against the closed-form conjugation
+solution, and the file loaders.
 """
 
 import json
@@ -179,15 +181,18 @@ def rk4_stage_oracle(op, y, dt, steps):
 
 
 def test_horner_steps_match_the_rk4_stage_form():
-    # on a constant linear field the Horner form is the stage form, up to
-    # rounding
+    # on a constant linear field both step forms, the dense propagator and
+    # the four triplet products, are the stage form up to rounding
     rng = random.Random(4)
     state0, state_matrix = (0.3, -1.2), ((0.1, 1.0), (-2.0, 0.4))
-    for d, degree in ((1, 3), (2, 1), (2, 3), (3, 2)):
+    dense = set()
+    for d, degree in ((1, 3), (2, 1), (2, 3), (3, 2), (2, 4), (2, 5)):
         m = random_op(rng, d, 1, ENDO, FLOAT)
         l0 = random_op(rng, d, degree, ENDO, FLOAT)
         oracle = rhs_matrix_oracle(m, degree)
         for ns in (0, 2):
+            rows, _, _, width = _rhs_triplets(m, degree, state_matrix[:ns])
+            dense.add(width * width <= 4 * len(rows))
             system = LaxSystem(
                 m=m, l0=l0, dt=0.05, t_end=0.25,
                 state0=state0[:ns], state_matrix=state_matrix[:ns],
@@ -201,6 +206,7 @@ def test_horner_steps_match_the_rk4_stage_form():
             got = np.hstack([traj.state, traj.coeffs])
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert dense == {True, False}
 
 
 # --- observers ---------------------------------------------------------------
@@ -415,6 +421,17 @@ def test_non_finite_observer_raises_without_warnings():
         with pytest.raises(NonFiniteError) as info:
             integrate(replace(system, l0=big, dt=0.001, t_end=0.003))
     assert str(info.value) == "non-finite observer 'assoc_defect' at t = 0.0"
+
+
+def test_non_finite_propagator_keeps_the_triplet_steps():
+    # (hA)^4 overflows, so the dense propagator has infinite entries and
+    # would turn the zero rows into nan; the triplet steps keep them zero
+    m = _float_op(2, 1, [0.0, -1e100, 1e100, 0.0])
+    l0 = _float_op(2, 1, [0.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(LaxSystem(m=m, l0=l0, dt=1e-3, t_end=0.01))
+    assert len(traj) == 11 and not traj.coeffs.any()
 
 
 def test_state_integration_rides_along():
