@@ -24,23 +24,14 @@ would be negative the brace raises DegreeUnderflowError instead.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations, islice
-
-from .errors import DegreeMismatchError, DegreeUnderflowError
-from .multiop import MultiOp, _check_pair, _compile, _plan, _sum, sub, zero_op
+from .errors import DegreeMismatchError
+from .multiop import MultiOp, _sum, _terms, sub
 from .scalars import sign_pow
 
 
 def _require_mu(mu: MultiOp):
     if mu.degree != 2:
         raise DegreeMismatchError(f"mu must have degree 2, got {mu.degree}")
-
-
-def _zero(like: MultiOp, degree: int) -> MultiOp:
-    if degree < 0:
-        raise DegreeUnderflowError(f"result would have degree {degree}")
-    return zero_op(like.dim, degree, like.variance, like.backend)
 
 
 def brace(h: MultiOp, *gs: MultiOp) -> MultiOp:
@@ -52,29 +43,6 @@ def brace(h: MultiOp, *gs: MultiOp) -> MultiOp:
     if not gs:
         return h
     return _sum(h, h.degree + sum(g.reduced_degree for g in gs), [_terms(h, gs)])
-
-
-def _terms(h: MultiOp, gs, sign: int = 1):
-    """The terms of sign * h{gs} as a part (count, h, gs, plans) of _sum: one
-    plan, or a lazy sequence of chunk plans.  A sum without terms is the one
-    term of the zero op of its degree with no insertions.
-
-    The operands are checked, and the errors of inserting them one slot at a
-    time raised, before any plan is built: the errors of the zero op for a
-    sum without terms, else SizeCapError for the first stage over SIZE_CAP.
-    """
-    for outer, inner in zip((h, *gs), gs):
-        _check_pair(outer, inner)
-    if len(gs) > h.degree:
-        h, gs, sign = _zero(h, h.degree + sum(g.reduced_degree for g in gs)), (), 1
-    degs = tuple([g.degree for g in gs])
-    count = math.comb(h.degree, len(gs))
-    plan = _compile(h.dim, h.degree, degs, sign)
-    if not isinstance(plan, int):
-        return count, h, gs, (plan,)
-    slots = combinations(range(h.degree), len(gs))
-    chunks = iter(lambda: list(islice(slots, plan)), [])
-    return count, h, gs, (_plan(h.dim, h.degree, degs, sign, rows) for rows in chunks)
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:

@@ -31,13 +31,11 @@ still well defined.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +48,7 @@ from .errors import (
     SizeCapError,
 )
 from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, is_zero, zero_op
-from .scalars import parse_exact, sign_pow
+from .scalars import exact_scalar, fields, op_values, positive_int, read_json, sign_pow
 
 # Hard cap on the insertions of mu in one Betti table, the sum over degrees
 # of columns * (n + 2).  This is the total of the largest table SIZE_CAP
@@ -143,42 +141,20 @@ def _exact_array(values) -> np.ndarray:
 
 
 def algebra_from_json(text: str) -> AlgebraSpec:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also Python's limit on integer literal digits
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("algebra file must contain a JSON object")
-    try:
-        name = doc["name"]
-        dim = doc["dim"]
-        raw = doc["mu"]
-    except KeyError as exc:
-        raise ParseError(f"algebra file is missing key {exc}") from None
-    if not isinstance(name, str):
-        raise ParseError("'name' must be a string")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ParseError("'dim' must be a positive integer")
-    if dim**3 > SIZE_CAP:
-        raise ParseError(f"'mu' for this 'dim' needs more than {SIZE_CAP} scalars")
-    if not isinstance(raw, list) or len(raw) != dim**3:
-        raise ParseError(f"'mu' must list {dim**3} scalars for dim {dim}")
-    values = [parse_exact(s) if isinstance(s, str) else _exact_int(s) for s in raw]
-    return AlgebraSpec.from_structure_constants(name, dim, values)
-
-
-def _exact_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"exact scalar expected, got {value!r}")
-    return value
+    return _algebra(read_json("algebra text", text))
 
 
 def load_algebra(path) -> AlgebraSpec:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return algebra_from_json(text)
+    return _algebra(read_json(path))
+
+
+def _algebra(doc) -> AlgebraSpec:
+    name, dim, raw = fields(doc, "algebra file", "name", "dim", "mu")
+    if not isinstance(name, str):
+        raise ParseError("'name' must be a string")
+    dim = positive_int(dim, "'dim'")
+    values = op_values(raw, dim, 2, "'mu'", exact_scalar)
+    return AlgebraSpec.from_structure_constants(name, dim, values)
 
 
 def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:

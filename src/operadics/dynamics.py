@@ -23,10 +23,8 @@ over all rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,11 +42,11 @@ from .multiop import (
     MAX_CELLS,
     MAX_STEPS,
     MAX_TRIPLETS,
-    SIZE_CAP,
     MultiOp,
     partial_compose,
     sub,
 )
+from .scalars import fields, finite, op_values, positive_int, read_json
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
 
@@ -385,47 +383,14 @@ def conjugation_oracle(m: MultiOp, l0: MultiOp, t: float) -> MultiOp:
 
 def load_initial_op(path, dim: int) -> MultiOp:
     """Read a float operation from a JSON file {"degree": n, "coeffs": [...]}."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # also Python's limit on integer literal digits
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return _op_from_doc(doc, dim, "initial operation")
+    return _op_from_doc(read_json(path), dim, "initial operation")
 
 
 def _op_from_doc(doc, dim: int, what: str) -> MultiOp:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be a JSON object")
-    try:
-        degree = doc["degree"]
-        coeffs = doc["coeffs"]
-    except KeyError as exc:
-        raise ParseError(f"{what} is missing key {exc}") from None
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-        raise ParseError(f"{what} degree must be a positive integer")
-    # bounded before dim ** (degree + 1) is computed or degree is printed
-    if degree >= SIZE_CAP or dim ** (degree + 1) > SIZE_CAP:
-        raise ParseError(f"{what} degree is too large for dim {dim} (cap {SIZE_CAP})")
-    if not isinstance(coeffs, list) or len(coeffs) != dim ** (degree + 1):
-        raise ParseError(
-            f"{what} needs {dim ** (degree + 1)} coefficients for degree {degree}"
-        )
-    values = [_finite(v, what) for v in coeffs]
+    degree, coeffs = fields(doc, what, "degree", "coeffs")
+    degree = positive_int(degree, f"{what} degree")
+    values = op_values(coeffs, dim, degree, what, finite)
     return MultiOp(dim, degree, ENDO, np.array(values, dtype=np.float64))
-
-
-def _finite(value, what: str) -> float:
-    """A JSON number as a finite float; NaN, infinities and overflow are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what}: {value!r} is not a number")
-    try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ParseError(f"{what}: {out} is not finite")
-    return out
 
 
 def load_lax_system(path) -> LaxSystem:
@@ -434,29 +399,13 @@ def load_lax_system(path) -> LaxSystem:
     Expected shape: {"dim": d, "M": [d*d floats], "L0": {"degree", "coeffs"},
     "dt": h, "t_end": T, "observe": [names]}.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # also Python's limit on integer literal digits
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("system file must contain a JSON object")
-    for key in ("dim", "M", "L0", "dt", "t_end"):
-        if key not in doc:
-            raise ParseError(f"system file is missing key '{key}'")
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ParseError("'dim' must be a positive integer")
-    if dim * dim > SIZE_CAP:
-        raise ParseError(f"'M' for this 'dim' needs more than {SIZE_CAP} coefficients")
-    raw_m = doc["M"]
-    if not isinstance(raw_m, list) or len(raw_m) != dim * dim:
-        raise ParseError(f"'M' must list {dim * dim} coefficients")
-    m = MultiOp(dim, 1, ENDO, np.array([_finite(v, "'M'") for v in raw_m], np.float64))
-    l0 = _op_from_doc(doc["L0"], dim, "'L0'")
-    dt = _finite(doc["dt"], "'dt'")
-    t_end = _finite(doc["t_end"], "'t_end'")
+    doc = read_json(path)
+    dim, m, l0, dt, t_end = fields(doc, "system file", "dim", "M", "L0", "dt", "t_end")
+    dim = positive_int(dim, "'dim'")
+    m = MultiOp(dim, 1, ENDO, np.array(op_values(m, dim, 1, "'M'", finite)))
+    l0 = _op_from_doc(l0, dim, "'L0'")
+    dt = finite(dt, "'dt'")
+    t_end = finite(t_end, "'t_end'")
     if not dt > 0:
         raise ParseError("'dt' must be a positive number")
     if t_end < dt:

@@ -49,7 +49,7 @@ import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ from .errors import (
     ArityMismatchError,
     BackendMismatchError,
     DegreeMismatchError,
+    DegreeUnderflowError,
     DimMismatchError,
     ShapeMismatchError,
     SizeCapError,
@@ -375,16 +376,39 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
     secondary block; the result has degree deg f + deg g - 1.  Degree-0 f
     has no slots, so composing into it always raises.
     """
-    _check_pair(f, g)
-    m, n, d = f.degree, g.degree, f.dim
+    m, n = f.degree, g.degree
     if m == 0:
         raise SlotOutOfRangeError("cannot compose into a degree-0 operation")
     if not 0 <= i <= m - 1:
         raise SlotOutOfRangeError(f"slot {i} outside 0..{m - 1}")
-    plan = _compile(d, m, (n,), 1, (i,))
-    if isinstance(plan, int):
-        plan = _plan(d, m, (n,), 1, [(i,)])
-    return _sum(f, m + n - 1, [(1, f, (g,), (plan,))])
+    return _sum(f, m + n - 1, [_terms(f, (g,), slots=(i,))])
+
+
+def _terms(h: MultiOp, gs, sign: int = 1, slots: tuple = ()):
+    """The terms of sign * h{gs} as a part (count, h, gs, plans) of _sum: one
+    plan, or a lazy sequence of chunk plans; given slots, only the term that
+    inserts the gs at those original slots of h.  A sum without terms is the
+    one term of the zero op of its degree with no insertions.
+
+    The operands are checked, and the errors of inserting them one slot at a
+    time raised, before any plan is built: the errors of the zero op for a
+    sum without terms, else SizeCapError for the first stage over SIZE_CAP.
+    """
+    for outer, inner in zip((h, *gs), gs):
+        _check_pair(outer, inner)
+    if len(gs) > h.degree:
+        degree = h.degree + sum(g.reduced_degree for g in gs)
+        if degree < 0:
+            raise DegreeUnderflowError(f"result would have degree {degree}")
+        h, gs, sign = zero_op(h.dim, degree, h.variance, h.backend), (), 1
+    degs = tuple([g.degree for g in gs])
+    count = 1 if slots else math.comb(h.degree, len(gs))
+    plan = _compile(h.dim, h.degree, degs, sign, slots)
+    if not isinstance(plan, int):
+        return count, h, gs, (plan,)
+    points = iter([slots]) if slots else combinations(range(h.degree), len(gs))
+    chunks = iter(lambda: list(islice(points, plan)), [])
+    return count, h, gs, (_plan(h.dim, h.degree, degs, sign, rows) for rows in chunks)
 
 
 def _sum(like: MultiOp, degree: int, parts) -> MultiOp:

@@ -1,15 +1,25 @@
-"""Scalar conventions shared across the package.
+"""Scalar conventions shared across the package, and the input-file policy.
 
 Two coefficient backends exist: exact (Python int / Fraction) and float
 (IEEE double).  All sign bookkeeping uses the mathematical parity of the
 exponent, so negative exponents are legal: (-1)**(-1) == -1.
+
+Every input file (algebra, Lax system, initial operation) is read here:
+read_json makes each way a file fails to be JSON a ParseError, fields and
+positive_int read its keys, and op_values reads an operation's coefficient
+list with a scalar reader (exact_scalar or finite), bounded by SIZE_CAP.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import ParseError
+from .multiop import SIZE_CAP
 
 
 def sign_pow(exponent: int) -> int:
@@ -18,8 +28,14 @@ def sign_pow(exponent: int) -> int:
 
 
 def parse_exact(text: str) -> Fraction:
-    """Parse an exact scalar written as 'p' or 'p/q'."""
+    """Parse an exact scalar as Fraction does: 'p', 'p/q' or a decimal such
+    as '-1.25e3'.  An exponent over 4300 in magnitude, the longest integer
+    Python reads from digits, is an error before its power is expanded."""
     try:
+        if "e" in text.lower():
+            exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+            if exponent and abs(int(exponent[1])) > 4300:
+                raise ValueError("exponent over 4300 in magnitude")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad exact scalar {text!r}: {exc}") from None
@@ -35,3 +51,68 @@ def format_exact(value) -> str:
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     return f"{value:.17g}"
+
+
+def read_json(path, text: str | None = None):
+    """The JSON document in the UTF-8 file at path, or in text when it is
+    given (path then only names it).  A file that cannot be read, bytes that
+    are not UTF-8, invalid JSON, an integer literal over 4300 digits and
+    nesting past the recursion limit are all ParseErrors."""
+    try:
+        if text is None:
+            text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+
+
+def fields(doc, what: str, *keys: str) -> list:
+    """The values of keys in the JSON object doc, the input named what."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{what} is missing key '{key}'")
+    return [doc[key] for key in keys]
+
+
+def positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParseError(f"{what} must be a positive integer")
+    return value
+
+
+def op_values(raw, dim: int, degree: int, what: str, scalar) -> list:
+    """The dim**(degree + 1) coefficients of an operation listed in raw, each
+    read by scalar(value, what).  The count is bounded by SIZE_CAP before it
+    is computed or printed."""
+    if dim > SIZE_CAP or degree >= SIZE_CAP or dim ** (degree + 1) > SIZE_CAP:
+        raise ParseError(f"{what} needs more than {SIZE_CAP} coefficients")
+    size = dim ** (degree + 1)
+    if not isinstance(raw, list) or len(raw) != size:
+        raise ParseError(f"{what} must list {size} coefficients")
+    return [scalar(value, what) for value in raw]
+
+
+def exact_scalar(value, what: str):
+    """A JSON int or an exact scalar string (parse_exact)."""
+    if isinstance(value, str):
+        return parse_exact(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what}: exact scalar expected, got {value!r}")
+    return value
+
+
+def finite(value, what: str) -> float:
+    """A JSON number as a finite float; NaN, infinities and overflow are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what}: {value!r} is not a number")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ParseError(f"{what}: {out} is not finite")
+    return out

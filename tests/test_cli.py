@@ -633,9 +633,12 @@ def test_oscillator_non_finite_flag_is_a_config_error(flag):
 # --- loaders ----------------------------------------------------------------------
 
 # json.loads raises a plain ValueError on integer literals over 4300 digits
-# and read_text a UnicodeDecodeError on bytes that are not UTF-8.
+# and a RecursionError on deep nesting, and read_text a UnicodeDecodeError on
+# bytes that are not UTF-8.
 @pytest.mark.parametrize(
-    "content", [b"[" + b"9" * 5000 + b"]", b"\xff\xfe{}"], ids=["huge-int", "not-utf8"]
+    "content",
+    [b"[" + b"9" * 5000 + b"]", b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+    ids=["huge-int", "not-utf8", "deep-nesting"],
 )
 @pytest.mark.parametrize(
     "args",
@@ -646,6 +649,13 @@ def test_unparsable_file_is_a_parse_error(tmp_path, args, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
     assert_one_line_error(run_cli(*args, str(path)), 4)
+
+
+def test_huge_scalar_exponent_is_a_parse_error(tmp_path):
+    # Fraction would expand 10**100000000 before any other check
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"name": "x", "dim": 1, "mu": ["1e100000000"]}))
+    assert_one_line_error(run_cli("cohomology", "--algebra", str(path), timeout=30), 4)
 
 
 # --- argparse level ------------------------------------------------------------

@@ -48,7 +48,7 @@ from operadics.errors import (
     SizeCapError,
 )
 from operadics.multiop import ENDO, MultiOp, is_zero, partial_compose, zero_op
-from operadics.scalars import format_exact
+from operadics.scalars import format_exact, parse_exact
 
 
 def basis_op(dim, degree, index):
@@ -386,6 +386,7 @@ def test_fraction_coefficients_survive_roundtrip():
         {"name": "x", "dim": 1, "mu": "1"},
         {"name": 3, "dim": 1, "mu": ["1"]},
         {"name": "x", "dim": 1.5, "mu": ["1"]},
+        {"name": "x", "dim": 1, "mu": ["1e100000000"]},
     ],
 )
 def test_malformed_algebra_documents_raise(doc):
@@ -393,9 +394,18 @@ def test_malformed_algebra_documents_raise(doc):
         algebra_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text", ["3", " -2/4 ", "1.25", "1_000", "1.5E+3", "2e-3", "1e4300", "-5e-4300"]
+)
+def test_parse_exact_reads_what_fraction_reads(text):
+    assert parse_exact(text) == Fraction(text)
+
+
 def test_algebra_from_json_rejects_invalid_json():
     with pytest.raises(ParseError):
         algebra_from_json("{not json")
+    with pytest.raises(ParseError):
+        algebra_from_json("[" * 100000 + "]" * 100000)
 
 
 # --- coboundary matrices ---------------------------------------------------

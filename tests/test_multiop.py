@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadics import multiop
-from operadics.braces import _terms, bracket, brace
+from operadics.braces import bracket, brace
 from operadics.cohomology import (
     AlgebraSpec,
     cocycle_basis,
@@ -49,6 +49,7 @@ from operadics.multiop import (
     sub,
     zero_op,
     _evaluate,
+    _terms,
 )
 from operadics.scalars import sign_pow
 from operadics.verify import diagonal_mu
