@@ -6,11 +6,12 @@ from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
 This module builds those matrices on the elementary basis as sparse columns,
 by index arithmetic on the structure constants of mu, and splits each matrix
 into independent blocks: the connected components of the graph joining a
-row to a column wherever their entry is nonzero.  One fraction-free
-(Bareiss) elimination on integers, run on one block at a time, gives exact
-ranks; preimages and kernels scale its pivot rows to unit pivots and clear
-upwards to the reduced echelon form.  Cohomology dimensions follow the usual
-convention that nothing maps into degree 0:
+row to a column wherever their entry is nonzero.  One integer Gauss-Jordan
+elimination, run on one block at a time, gives exact ranks and the reduced
+echelon form that preimages and kernels read: each pivot updates only the
+rows with a nonzero entry in its column, and each updated row is divided by
+its gcd.  Cohomology dimensions follow the usual convention that nothing
+maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
@@ -319,23 +320,23 @@ def _clear_denominators(rows: list[list]) -> list[list[int]]:
 
 def exact_rank(matrix) -> int:
     """Rank of an exact matrix: the sum of the pivot counts of its blocks."""
-    return sum(
-        len(_echelon(_clear_denominators(dense))[1])
-        for _, _, dense in _blocks(*_sparse_columns(matrix))
-    )
+    blocks = _blocks(*_sparse_columns(matrix))
+    return sum(len(_reduce(dense)[1]) for _, _, dense in blocks)
 
 
-def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form of an integer matrix by fraction-free (Bareiss) steps.
+def _reduce(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan elimination of an exact matrix.
 
-    Returns the nonzero rows, reduced in place, and their pivot columns.
-    Every division in the update is exact by the Sylvester identity, which
-    the divmod below double-checks.
+    Returns the nonzero rows of the reduced row echelon form, each scaled to
+    integers, and their pivot columns.  A pivot updates only the rows with a
+    nonzero entry in its column, above and below it, and each updated row is
+    divided by the gcd of its entries: the entries stay small, and the
+    division is exact by construction.
     """
+    m = _clear_denominators(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
-    prev = 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
@@ -345,53 +346,24 @@ def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pivot_row = m[rank]
-        pivot = pivot_row[col]
-        for r in range(rank + 1, nrows):
-            cur = m[r]
-            factor = cur[col]
-            for c in range(col + 1, ncols):
-                quot, rem = divmod(cur[c] * pivot - factor * pivot_row[c], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination drifted")
-                cur[c] = quot
-            cur[col] = 0
-        prev = pivot
+        a = pivot_row[col]
+        for r in range(nrows):
+            f = m[r][col]
+            if f and r != rank:
+                row = [a * x - f * y for x, y in zip(m[r], pivot_row)]
+                g = math.gcd(*row)
+                if g > 1:  # a row that became all zeros has gcd 0
+                    row = [x // g for x in row]
+                m[r] = row
         pivots.append(col)
     return m[: len(pivots)], pivots
 
 
 def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Nonzero rows of the reduced row echelon form, and their pivot columns.
-
-    The forward pass is _echelon on integers.  Its last pivot D is, up to
-    sign, the determinant of the pivot columns of its rows, so D times the
-    reduced form is an integer matrix (Cramer's rule).  The back pass builds
-    that matrix from the last pivot row upwards: D times row i less the
-    multiples of the rows below that clear its pivot columns, divided
-    exactly by its pivot.  Each entry is then divided by D once.
-    """
-    echelon, pivots = _echelon(_clear_denominators(rows))
-    if not pivots:
-        return [], []
-    det = echelon[-1][pivots[-1]]
-    scaled = []  # (pivot column, D times the reduced row), last row first
-    for row, p in zip(reversed(echelon), reversed(pivots)):
-        acc = [det * x for x in row[p:]]
-        for q, lower in scaled:
-            factor = row[q]
-            if factor:
-                acc[q - p :] = [a - factor * b for a, b in zip(acc[q - p :], lower[q:])]
-        pivot = row[p]
-        out = [0] * p
-        for a in acc:
-            quot, rem = divmod(a, pivot)
-            if rem:
-                raise ArithmeticError("fraction-free back substitution drifted")
-            out.append(quot)
-        scaled.append((p, out))
-    zero = Fraction(0)
-    reduced = [[Fraction(x, det) if x else zero for x in row] for _, row in scaled]
-    return reduced[::-1], pivots
+    """Nonzero rows of the reduced row echelon form, and their pivot columns."""
+    reduced, pivots = _reduce(rows)
+    rational = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
+    return rational, pivots
 
 
 def solve_linear(matrix, rhs):

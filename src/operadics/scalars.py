@@ -8,6 +8,8 @@ Every input file (algebra, Lax system, initial operation) is read here:
 read_json makes each way a file fails to be JSON a ParseError, fields and
 positive_int read its keys, and op_values reads an operation's coefficient
 list with a scalar reader (exact_scalar or finite), bounded by SIZE_CAP.
+An error names the offending value by its reprlib.repr, which cuts a long
+value down to a few dozen characters.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,8 +40,11 @@ def parse_exact(text: str) -> Fraction:
             if exponent and abs(int(exponent[1])) > 4300:
                 raise ValueError("exponent over 4300 in magnitude")
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad exact scalar {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError as exc:
+        reason = str(exc).partition(":")[0]  # Fraction's message repeats the text
+    raise ParseError(f"bad exact scalar {reprlib.repr(text)}: {reason}")
 
 
 def format_exact(value) -> str:
@@ -101,14 +107,14 @@ def exact_scalar(value, what: str):
     if isinstance(value, str):
         return parse_exact(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what}: exact scalar expected, got {value!r}")
+        raise ParseError(f"{what}: exact scalar expected, got {reprlib.repr(value)}")
     return value
 
 
 def finite(value, what: str) -> float:
     """A JSON number as a finite float; NaN, infinities and overflow are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what}: {value!r} is not a number")
+        raise ParseError(f"{what}: {reprlib.repr(value)} is not a number")
     try:
         out = float(value)
     except OverflowError:

@@ -160,6 +160,25 @@ def test_cohomology_machine_matches_expected_numbers():
     assert [row["rank"] for row in doc["table"]] == [3, 13, 51]
 
 
+def test_mat2_table_to_degree_six_is_classical():
+    # M2(Q) is separable: scalars in degree 0 and nothing above.  The table
+    # reaches 16384 cochains in degree 6 and must finish well within the
+    # timeout.
+    r = run_cli(
+        "cohomology",
+        "--algebra",
+        str(bundled_path("mat2.json")),
+        "--max-degree",
+        "6",
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    rows = [l.split() for l in r.stdout.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == list(range(7))
+    assert [int(row[-1]) for row in rows] == [1, 0, 0, 0, 0, 0, 0]
+    assert [int(row[2]) for row in rows] == [3, 13, 51, 205, 819, 3277, 13107]
+
+
 def test_cohomology_missing_file_is_a_parse_error(tmp_path):
     r = run_cli("cohomology", "--algebra", str(tmp_path / "absent.json"))
     assert r.returncode == 4
@@ -308,12 +327,16 @@ def test_lax_divergent_run_exits_five(tmp_path):
     assert "non-finite" in r.stderr
 
 
-def _lax_file(tmp_path, **overrides):
+def _lax_doc(**overrides):
     doc = json.loads(bundled_path("lax_deg1.json").read_text())
     doc.update(overrides)
+    return doc
+
+
+def _lax_file(tmp_path, **overrides):
     path = tmp_path / "system.json"
     # json.dumps writes NaN and Infinity, which json.loads accepts
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_lax_doc(**overrides)))
     return str(path)
 
 
@@ -656,6 +679,27 @@ def test_huge_scalar_exponent_is_a_parse_error(tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"name": "x", "dim": 1, "mu": ["1e100000000"]}))
     assert_one_line_error(run_cli("cohomology", "--algebra", str(path), timeout=30), 4)
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (("lax", "--system"), _lax_doc(dim=1, M=[[1] * 20000])),
+        (("lax", "--system"), _lax_doc(dt="0.001" * 5000)),
+        (
+            ("cohomology", "--algebra"),
+            {"name": "x", "dim": 1, "mu": ["1" * 4000 + "x"]},
+        ),
+    ],
+    ids=["long-list-entry", "long-string-dt", "long-algebra-entry"],
+)
+def test_bad_scalar_error_line_is_short(tmp_path, args, doc):
+    # the error names the bad value, cut short, not its whole repr
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(*args, str(path), timeout=30)
+    assert_one_line_error(r, 4)
+    assert len(r.stderr.encode()) < 300, r.stderr[:300]
 
 
 # --- argparse level ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact linear algebra and cohomology tables.
 
 The oracles here are a straightforward dense Gauss-Jordan elimination over
-Fraction, independent of the fraction-free eliminator under test that rank,
-solve and nullspace share; they check it on block matrices with small and
-with 30-digit entries and on coboundary matrices.  Expected
+Fraction, independent of the blockwise integer Gauss-Jordan elimination under
+test that rank, solve and nullspace share; they check it on block matrices
+with small and with 30-digit entries and on coboundary matrices.  Expected
 Betti numbers are frozen from hand derivations: a one-dimensional algebra
 has one-dimensional cohomology in degree 0 only; the two-dimensional
 nilpotent extension keeps one class per positive degree; the full 2x2
@@ -289,8 +289,8 @@ def test_block_solvers_match_dense_reduction():
 
 
 def test_back_substitution_matches_dense_reduction_in_types():
-    # _rref divides once per entry by the last Bareiss pivot; its rows, their
-    # order and their Fraction entries equal the Fraction Gauss-Jordan's,
+    # _rref divides each entry of an integer row by the row's pivot; its rows,
+    # their order and their Fraction entries equal the Fraction Gauss-Jordan's,
     # and so do the vectors nullspace and solve_linear build from them
     cases = [(seed, small_entry) for seed in range(200)]
     cases += [(seed, huge_entry) for seed in range(50)]
