@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -128,15 +129,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Rows in one piece of CSV output.
+_CSV_ROWS = 1024
+
+
 def _machine(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(columns, table, footer_lines=()) -> str:
+def _csv(columns, table, footer_lines=()) -> Iterator[str]:
+    """The CSV text in pieces: the header, at most _CSV_ROWS rows at a time,
+    then the footer, so a long run is never held as one string."""
     # "%.17g" % v has the bytes of format_float(v), nan, inf and -0 included
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns), *(row % r for r in map(tuple, table.tolist()))]
-    return "\n".join([*lines, *footer_lines]) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    yield ",".join(columns) + "\n"
+    for lo in range(0, len(table), _CSV_ROWS):
+        yield "".join(row % r for r in map(tuple, table[lo : lo + _CSV_ROWS].tolist()))
+    yield "".join(line + "\n" for line in footer_lines)
 
 
 def _cmd_verify(args) -> tuple[int, str]:
@@ -227,7 +236,7 @@ def _cmd_cohomology(args) -> tuple[int, str]:
     return (EXIT_OK, "\n".join(lines) + "\n")
 
 
-def _cmd_lax(args) -> tuple[int, str]:
+def _cmd_lax(args) -> tuple[int, str | Iterator[str]]:
     system = load_lax_system(args.system)
     if args.dt is not None or args.t_end is not None:
         system = replace(
@@ -246,7 +255,7 @@ def _cmd_lax(args) -> tuple[int, str]:
     return (EXIT_OK, _csv(columns, table))
 
 
-def _cmd_oscillator(args) -> tuple[int, str]:
+def _cmd_oscillator(args) -> tuple[int, str | Iterator[str]]:
     if args.degree >= 2 and args.l_init is None:
         raise MissingInitialOpError(
             "--degree >= 2 needs --l-init FILE (no canonical initial "
@@ -316,12 +325,13 @@ def main(argv=None) -> int:
     except OperadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
-    if text:
-        if args.out is not None:
-            with open(args.out, "w", newline="") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    # a handler returns its text whole or, for CSV, as pieces to write in turn
+    pieces = [text] if isinstance(text, str) else text
+    if args.out is not None:
+        with open(args.out, "w", newline="") as handle:
+            handle.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
     return code
 
 

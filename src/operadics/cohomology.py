@@ -4,13 +4,12 @@ Given exact structure constants for a degree-2 multiplication mu on a
 d-dimensional module, the coboundary f -> [f, mu] restricts to a linear map
 from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
 This module builds those matrices on the elementary basis as sparse columns,
-by index arithmetic on the structure constants of mu, and splits each matrix
-into independent blocks: the connected components of the graph joining a
-row to a column wherever their entry is nonzero.  One integer Gauss-Jordan
-elimination, run on one block at a time, gives exact ranks and the reduced
+by index arithmetic on the structure constants of mu.  One integer
+Gauss-Jordan elimination on sparse rows gives exact ranks and the reduced
 echelon form that preimages and kernels read: each pivot updates only the
 rows with a nonzero entry in its column, and each updated row is divided by
-its gcd.  Cohomology dimensions follow the usual convention that nothing
+its gcd.  So independent blocks of a matrix never meet, and no separate pass
+splits them.  Cohomology dimensions follow the usual convention that nothing
 maps into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
@@ -33,6 +32,7 @@ still well defined.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +46,7 @@ from .errors import (
     DegreeMismatchError,
     NotAssociativeError,
     ParseError,
+    ShapeMismatchError,
     SizeCapError,
 )
 from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, is_zero, zero_op
@@ -258,134 +259,102 @@ def _exact(values) -> list:
     return values
 
 
-def _sparse_columns(matrix) -> tuple[int, list]:
-    """Row count and sparse columns of a CoboundaryMatrix or of dense rows."""
-    if isinstance(matrix, CoboundaryMatrix):
-        return matrix.rows, matrix.columns
-    rows = [_exact(row) for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    columns = [
-        tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
-    ]
-    return len(rows), columns
+def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
+    """Sparse integer rows of a CoboundaryMatrix or of dense rows, and the
+    column count ncols.
 
-
-def _blocks(nrows: int, columns) -> list[tuple[list[int], list[int], list[list]]]:
-    """Independent blocks (columns, rows, dense entries) of a sparse matrix.
-
-    The blocks are the connected components, found by union-find, of the
-    graph joining row r to column c whenever entry (r, c) is nonzero.  Each
-    block lists its columns and rows in ascending global order and holds its
-    entries as dense rows over its own columns.  All-zero rows and columns
-    belong to no block.
+    Row r maps each column of a nonzero entry to that entry, with rhs[r], if
+    nonzero, as column ncols; each row is scaled by the lcm of its
+    denominators.
     """
-    parent = list(range(nrows + len(columns)))  # column c is node nrows + c
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, column in enumerate(columns):
-        root = find(nrows + c)
-        for r, _ in column:
-            other = find(r)
-            if other != root:
-                parent[other] = root
-    block_cols: dict[int, list[int]] = {}
-    for c, column in enumerate(columns):
-        if column:
-            block_cols.setdefault(find(nrows + c), []).append(c)
-    out = []
-    for cols in block_cols.values():
-        rows = sorted({r for c in cols for r, _ in columns[c]})
-        at = {r: k for k, r in enumerate(rows)}
-        dense = [[0] * len(cols) for _ in rows]
-        for j, c in enumerate(cols):
-            for r, value in columns[c]:
-                dense[at[r]][j] = value
-        out.append((cols, rows, dense))
-    return out
-
-
-def _clear_denominators(rows: list[list]) -> list[list[int]]:
-    """Scale each row of exact scalars by the lcm of its denominators."""
+    if isinstance(matrix, CoboundaryMatrix):
+        ncols = matrix.cols
+        rows = [{} for _ in range(matrix.rows)]
+        for c, column in enumerate(matrix.columns):
+            for r, value in column:
+                rows[r][c] = value
+    else:
+        dense = [_exact(row) for row in matrix]
+        ncols = len(dense[0]) if dense else 0
+        rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    for row, value in zip(rows, rhs):
+        if value:
+            row[ncols] = value
     out = []
     for row in rows:
-        mult = math.lcm(*[x.denominator for x in row])
-        out.append([int(x.numerator) * (mult // x.denominator) for x in row])
-    return out
+        mult = math.lcm(*[x.denominator for x in row.values()])
+        out.append(
+            {c: int(x.numerator) * (mult // x.denominator) for c, x in row.items()}
+        )
+    return out, ncols
+
+
+def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
+    """Integer Gauss-Jordan elimination of sparse integer rows, in place.
+
+    Returns the pivot columns, ascending, each with its row of the reduced
+    row echelon form.  The pivot of column c is the lowest-index row not yet
+    a pivot with an entry in c; every other row with an entry in c, above or
+    below, becomes a * row - f * pivot_row and is divided by its gcd, so the
+    entries stay small.  users[c] lists at least the rows with an entry in
+    column c: fill-in appends to it, and rows that lost the entry are skipped.
+    """
+    users = [[] for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c in row:
+            users[c].append(r)
+    pivots = {}  # pivot row -> its column
+    for c in range(width):
+        p = min((r for r in users[c] if c in rows[r] and r not in pivots), default=None)
+        if p is None:
+            continue
+        pivots[p] = c
+        pivot_row = rows[p]
+        a = pivot_row[c]
+        for r in users[c]:
+            row = rows[r]
+            f = row.get(c)
+            if not f or r == p:
+                continue
+            new = {k: a * v for k, v in row.items()}
+            for k, v in pivot_row.items():
+                if k in new:
+                    new[k] -= f * v
+                else:
+                    new[k] = -f * v
+                    users[k].append(r)
+            g = math.gcd(*new.values())
+            if g > 1:  # a row that became all zeros has gcd 0
+                new = {k: v // g for k, v in new.items()}
+            rows[r] = {k: v for k, v in new.items() if v}
+    return [(c, rows[p]) for p, c in pivots.items()]
 
 
 def exact_rank(matrix) -> int:
-    """Rank of an exact matrix: the sum of the pivot counts of its blocks."""
-    blocks = _blocks(*_sparse_columns(matrix))
-    return sum(len(_reduce(dense)[1]) for _, _, dense in blocks)
-
-
-def _reduce(rows: list[list]) -> tuple[list[list[int]], list[int]]:
-    """Integer Gauss-Jordan elimination of an exact matrix.
-
-    Returns the nonzero rows of the reduced row echelon form, each scaled to
-    integers, and their pivot columns.  A pivot updates only the rows with a
-    nonzero entry in its column, above and below it, and each updated row is
-    divided by the gcd of its entries: the entries stay small, and the
-    division is exact by construction.
-    """
-    m = _clear_denominators(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        a = pivot_row[col]
-        for r in range(nrows):
-            f = m[r][col]
-            if f and r != rank:
-                row = [a * x - f * y for x, y in zip(m[r], pivot_row)]
-                g = math.gcd(*row)
-                if g > 1:  # a row that became all zeros has gcd 0
-                    row = [x // g for x in row]
-                m[r] = row
-        pivots.append(col)
-    return m[: len(pivots)], pivots
-
-
-def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Nonzero rows of the reduced row echelon form, and their pivot columns."""
-    reduced, pivots = _reduce(rows)
-    rational = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
-    return rational, pivots
+    """Rank of an exact matrix: its pivot count."""
+    return len(_reduce(*_rows(matrix)))
 
 
 def solve_linear(matrix, rhs):
     """One exact solution x of M x = rhs, or None if inconsistent.
 
-    Free variables are 0.  Each block is reduced with its own part of rhs;
-    a nonzero rhs entry on an all-zero row has no solution.
+    Free variables are 0.  The rhs is reduced as the last column, where a
+    pivot means no solution.  A nonzero rhs entry on an all-zero row means
+    none too, found before any elimination.
     """
     rhs = _exact(rhs)
-    nrows, columns = _sparse_columns(matrix)
-    blocks = _blocks(nrows, columns)
-    covered = {r for _, rows, _ in blocks for r in rows}
-    if any(rhs[r] != 0 for r in range(nrows) if r not in covered):
+    rows, ncols = _rows(matrix, rhs)
+    if len(rhs) != len(rows):
+        raise ShapeMismatchError(
+            f"{len(rhs)} right-hand side entries for {len(rows)} rows"
+        )
+    if any(len(row) == 1 and ncols in row for row in rows):
         return None
-    x = [Fraction(0)] * len(columns)
-    for cols, rows, dense in blocks:
-        aug = [row + [rhs[r]] for r, row in zip(rows, dense)]
-        reduced, pivots = _rref(aug)
-        if pivots and pivots[-1] == len(cols):  # a pivot in the rhs column
+    x = [Fraction(0)] * ncols
+    for p, row in _reduce(rows, ncols + 1):
+        if p == ncols:
             return None
-        for row, p in zip(reduced, pivots):
-            x[cols[p]] = row[-1]
+        x[p] = Fraction(row.get(ncols, 0), row[p])
     return x
 
 
@@ -393,27 +362,19 @@ def nullspace(matrix) -> list[list[Fraction]]:
     """Basis of the exact kernel, one vector per free column, in column order.
 
     The vector of free column f has 1 at f, 0 at the other free columns and
-    minus the reduced entries of column f at the pivot columns of f's block.
+    -row[f] / row[p] at the pivot column p of each reduced row.
     """
-    nrows, columns = _sparse_columns(matrix)
-    ncols = len(columns)
-    pivot_cols = set()
-    kernel = {}  # free column -> [(pivot column, coefficient)]
-    for cols, _, dense in _blocks(nrows, columns):
-        reduced, pivots = _rref(dense)
-        pivot_cols.update(cols[p] for p in pivots)
-        for j in set(range(len(cols))).difference(pivots):
-            kernel[cols[j]] = [(cols[p], -row[j]) for row, p in zip(reduced, pivots)]
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col, value in kernel.get(free, ()):
-            vec[col] = value
-        basis.append(vec)
-    return basis
+    rows, ncols = _rows(matrix)
+    pivots = _reduce(rows, ncols)
+    pivot_cols = {p for p, _ in pivots}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_cols}
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    for p, row in pivots:
+        for f, value in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-value, row[p])
+    return list(basis.values())
 
 
 def default_n_max(dim: int) -> int:
@@ -428,7 +389,7 @@ def default_n_max(dim: int) -> int:
 def _require_associative(spec: AlgebraSpec):
     if not spec.is_associative():
         raise NotAssociativeError(
-            f"mu of {spec.name!r} is not associative: "
+            f"mu of {reprlib.repr(spec.name)} is not associative: "
             f"{np.count_nonzero(spec.associator.coeffs)} coefficients of mu.mu "
             "are nonzero"
         )
@@ -509,8 +470,11 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
 def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
     """Integer basis of the kernel of the coboundary in the given degree."""
     _require_associative(spec)
-    rows = _clear_denominators(nullspace(coboundary_matrix(spec, degree)))
-    return [MultiOp(spec.dim, degree, ENDO, row) for row in rows]
+    rows, ncols = _rows(nullspace(coboundary_matrix(spec, degree)))
+    return [
+        MultiOp(spec.dim, degree, ENDO, [row.get(c, 0) for c in range(ncols)])
+        for row in rows
+    ]
 
 
 def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:

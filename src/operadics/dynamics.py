@@ -24,6 +24,7 @@ over all rows.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def evaluate_observer(name: str, coeffs: np.ndarray, dim: int) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if name not in OBSERVER_NAMES:
-        raise ConfigError(f"unknown observer {name!r}")
+        raise ConfigError(f"unknown observer {reprlib.repr(name)}")
     degree = _OBSERVER_DEGREE.get(name)
     if degree is not None and coeffs.shape[1] != dim ** (degree + 1):
         raise DegreeMismatchError(f"observer {name!r} needs degree-{degree} L")
@@ -149,7 +150,7 @@ class LaxSystem:
             )
         for name in self.observe:
             if name not in OBSERVER_NAMES:
-                raise ConfigError(f"unknown observer {name!r}")
+                raise ConfigError(f"unknown observer {reprlib.repr(name)}")
             degree = _OBSERVER_DEGREE.get(name, self.l0.degree)
             if degree != self.l0.degree:
                 raise DegreeMismatchError(
@@ -415,5 +416,5 @@ def load_lax_system(path) -> LaxSystem:
         raise ParseError("'observe' must be a list of observer names")
     for name in observe:
         if name not in OBSERVER_NAMES:
-            raise ParseError(f"unknown observer {name!r} in system file")
+            raise ParseError(f"unknown observer {reprlib.repr(name)} in system file")
     return LaxSystem(m=m, l0=l0, dt=dt, t_end=t_end, observe=tuple(observe))

@@ -285,9 +285,19 @@ def test_lax_csv_shape_and_determinism():
 def test_csv_rows_have_the_bytes_of_format_float():
     values = [0.0, -0.0, 0.1, -1.5e-300, 5e-324, 1e300, math.pi, 2.0**60]
     values += [math.nan, math.inf, -math.inf]
-    text = cli._csv([f"c{k}" for k in range(len(values))], np.array([values] * 2))
+    pieces = cli._csv([f"c{k}" for k in range(len(values))], np.array([values] * 2))
     row = ",".join(format_float(v) for v in values)
-    assert text.splitlines()[1:] == [row, row]
+    assert "".join(pieces).splitlines()[1:] == [row, row]
+
+
+def test_csv_pieces_hold_at_most_1024_rows():
+    table = np.arange(5000 * 2, dtype=float).reshape(5000, 2)
+    pieces = list(cli._csv(["a", "b"], table, ("# end",)))
+    assert max(piece.count("\n") for piece in pieces) <= 1024
+    lines = "".join(pieces).splitlines()
+    assert len(lines) == 1 + 5000 + 1
+    assert lines[0] == "a,b" and lines[1] == "0,1" and lines[-2] == "9998,9999"
+    assert lines[-1] == "# end"
 
 
 def test_lax_machine_format():
@@ -540,12 +550,15 @@ def test_json_true_is_not_an_integer_dim_or_degree(tmp_path):
 
 def test_lax_out_file_matches_stdout(tmp_path):
     out = tmp_path / "run.csv"
-    args = ("lax", "--system", str(bundled_path("lax_deg1.json")), "--t-end", "0.01")
-    r_file = run_cli(*args, "--out", str(out))
-    r_stdout = run_cli(*args)
-    assert r_file.returncode == 0
-    assert r_file.stdout == ""
-    assert out.read_text() == r_stdout.stdout
+    system = ("lax", "--system", str(bundled_path("lax_deg1.json")))
+    # 11 rows, and 1501 rows, which take two pieces of CSV
+    for t_end in ("0.01", "1.5"):
+        args = (*system, "--t-end", t_end)
+        r_file = run_cli(*args, "--out", str(out))
+        r_stdout = run_cli(*args)
+        assert r_file.returncode == 0
+        assert r_file.stdout == ""
+        assert out.read_text() == r_stdout.stdout
 
 
 # --- oscillator -------------------------------------------------------------------
@@ -682,23 +695,37 @@ def test_huge_scalar_exponent_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args, doc",
+    "args, doc, code",
     [
-        (("lax", "--system"), _lax_doc(dim=1, M=[[1] * 20000])),
-        (("lax", "--system"), _lax_doc(dt="0.001" * 5000)),
+        (("lax", "--system"), _lax_doc(dim=1, M=[[1] * 20000]), 4),
+        (("lax", "--system"), _lax_doc(dt="0.001" * 5000), 4),
         (
             ("cohomology", "--algebra"),
             {"name": "x", "dim": 1, "mu": ["1" * 4000 + "x"]},
+            4,
+        ),
+        (("lax", "--system"), _lax_doc(observe=["x" * 50000]), 4),
+        (
+            ("cohomology", "--algebra"),
+            # e0 e0 = e1 and e1 e0 = e0 is not associative
+            {"name": "x" * 50000, "dim": 2, "mu": [0, 0, 1, 0, 1, 0, 0, 0]},
+            3,
         ),
     ],
-    ids=["long-list-entry", "long-string-dt", "long-algebra-entry"],
+    ids=[
+        "long-list-entry",
+        "long-string-dt",
+        "long-algebra-entry",
+        "long-observer-name",
+        "long-algebra-name",
+    ],
 )
-def test_bad_scalar_error_line_is_short(tmp_path, args, doc):
-    # the error names the bad value, cut short, not its whole repr
+def test_bad_scalar_error_line_is_short(tmp_path, args, doc, code):
+    # the error names the bad value or name, cut short, not its whole repr
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     r = run_cli(*args, str(path), timeout=30)
-    assert_one_line_error(r, 4)
+    assert_one_line_error(r, code)
     assert len(r.stderr.encode()) < 300, r.stderr[:300]
 
 
@@ -871,6 +898,25 @@ PINNED = [
         ("cohomology", "--algebra", "dual_numbers.json", "--max-degree", "14"),
         0,
         "39b62ae010787d3de89cb7e6607dc387dd41293dff802ebcc12c4dc16d3bc6f0",
+    ),
+    # the largest table the size cap admits for mat2
+    (
+        ("cohomology", "--algebra", "mat2.json", "--max-degree", "6"),
+        0,
+        "049e48e75e9d3f721daa56f1d620520ceb277914b8e1b46c8ded95d26fc97f80",
+    ),
+    (
+        (
+            "cohomology",
+            "--algebra",
+            "mat2.json",
+            "--max-degree",
+            "6",
+            "--format",
+            "machine",
+        ),
+        0,
+        "7722820efaa0bd7b3da2551127a88e166bb913e552c64fb2b9efc4414b2db307",
     ),
 ]
 

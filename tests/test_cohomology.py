@@ -1,7 +1,7 @@
 """Exact linear algebra and cohomology tables.
 
 The oracles here are a straightforward dense Gauss-Jordan elimination over
-Fraction, independent of the blockwise integer Gauss-Jordan elimination under
+Fraction, independent of the sparse integer Gauss-Jordan elimination under
 test that rank, solve and nullspace share; they check it on block matrices
 with small and with 30-digit entries and on coboundary matrices.  Expected
 Betti numbers are frozen from hand derivations: a one-dimensional algebra
@@ -45,6 +45,7 @@ from operadics.errors import (
     DegreeMismatchError,
     NotAssociativeError,
     ParseError,
+    ShapeMismatchError,
     SizeCapError,
 )
 from operadics.multiop import ENDO, MultiOp, is_zero, partial_compose, zero_op
@@ -289,15 +290,19 @@ def test_block_solvers_match_dense_reduction():
 
 
 def test_back_substitution_matches_dense_reduction_in_types():
-    # _rref divides each entry of an integer row by the row's pivot; its rows,
-    # their order and their Fraction entries equal the Fraction Gauss-Jordan's,
-    # and so do the vectors nullspace and solve_linear build from them
+    # each integer row of _reduce, divided by its pivot entry, is a row of the
+    # Fraction Gauss-Jordan's reduced form, in the same order, and the vectors
+    # nullspace and solve_linear build from them hold only Fractions
     cases = [(seed, small_entry) for seed in range(200)]
     cases += [(seed, huge_entry) for seed in range(50)]
     for seed, entry in cases:
         rng = random.Random(seed)
         m = hidden_block_matrix(rng, entry)
-        reduced, pivots = cohomology._rref(m)
+        ncols = len(m[0])
+        reduced, pivots = [], []
+        for p, row in cohomology._reduce(*cohomology._rows(m)):
+            reduced.append([Fraction(row.get(c, 0), row[p]) for c in range(ncols)])
+            pivots.append(p)
         want, want_pivots = rref_oracle(m)
         assert (reduced, pivots) == (want[: len(want_pivots)], want_pivots), seed
         rhs = [rng.randint(-2, 2) for _ in m]
@@ -330,6 +335,12 @@ def test_exact_solvers_take_only_exact_entries():
         coboundary_matrix(float_spec, 0)
 
 
+def test_solve_needs_one_right_hand_side_entry_per_row():
+    for rhs in ([1], [1, 0, 5]):
+        with pytest.raises(ShapeMismatchError, match="right-hand side"):
+            solve_linear([[1, 0], [0, 0]], rhs)
+
+
 def test_block_solve_rejects_inconsistent_block():
     # blocks {row 0, col 1} and {rows 1-2, cols 0 and 3}; rows (2, 4) and (1, 2)
     # of the second make the right-hand side (3, 1) inconsistent
@@ -339,17 +350,32 @@ def test_block_solve_rejects_inconsistent_block():
     assert nullspace(m) == nullspace_oracle(m) == [[0, 0, 1, 0], [-2, 0, 0, 1]]
 
 
+def check_solvers_on_matrix(mat, rng):
+    dense = mat.entries
+    assert exact_rank(mat) == rank_oracle(dense)
+    assert nullspace(mat) == nullspace_oracle(dense)
+    target = [rng.randint(-2, 2) for _ in range(mat.rows)]
+    assert solve_linear(mat, target) == solve_oracle(dense, target)
+
+
 def test_block_solvers_on_coboundary_matrices():
     for name, n_max in (("dual_numbers.json", 5), ("mat2.json", 2)):
         spec = load_algebra(bundled_path(name))
         rng = random.Random(name)
         for n in range(n_max + 1):
-            mat = coboundary_matrix(spec, n)
-            dense = mat.entries
-            assert exact_rank(mat) == rank_oracle(dense)
-            assert nullspace(mat) == nullspace_oracle(dense)
-            target = [rng.randint(-2, 2) for _ in range(mat.rows)]
-            assert solve_linear(mat, target) == solve_oracle(dense, target)
+            check_solvers_on_matrix(coboundary_matrix(spec, n), rng)
+    # the normalized matrices betti_table ranks (the field's have no rows,
+    # which the dense oracles cannot take); a rebased mat2 has a dense mu, so
+    # its rows are dense and elimination fills them in
+    mat2, _ = rebased(load_algebra(bundled_path("mat2.json")), random.Random(3))
+    assert np.count_nonzero(mat2.mu.coeffs) >= 40
+    specs = [spec for spec, _, _ in unital_cases()[1:]] + [mat2]
+    for spec in specs:
+        rng = random.Random(spec.name)
+        mu = spec.mu.coeffs.tolist()
+        for n in range(3):
+            matrix = cohomology._coboundary(mu, spec.dim, n, spec.unit)
+            check_solvers_on_matrix(matrix, rng)
 
 
 # --- algebra files --------------------------------------------------------
