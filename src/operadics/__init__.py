@@ -49,6 +49,9 @@ from .cohomology import (
     solve_linear,
 )
 from .dynamics import (
+    MAX_CELLS,
+    MAX_STEPS,
+    MAX_TRIPLETS,
     LaxSystem,
     Trajectory,
     conjugation_oracle,
@@ -80,9 +83,6 @@ from .multiop import (
     ENDO,
     EXACT,
     FLOAT,
-    MAX_CELLS,
-    MAX_STEPS,
-    MAX_TRIPLETS,
     SIZE_CAP,
     MultiOp,
     add,

@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -171,17 +171,7 @@ def _cmd_verify(args) -> tuple[int, str]:
                 "tol": cfg.tol,
                 "backend": cfg.backend,
             },
-            "suites": [
-                {
-                    "name": r.name,
-                    "cases": r.cases,
-                    "passed": r.passed,
-                    "failures": r.failures,
-                    "counterexample": r.counterexample,
-                    "note": r.note,
-                }
-                for r in results
-            ],
+            "suites": [asdict(r) for r in results],
             "ok": ok,
         }
         return (EXIT_OK if ok else EXIT_SUITE_FAILED, _machine(doc))
@@ -236,6 +226,21 @@ def _cmd_cohomology(args) -> tuple[int, str]:
     return (EXIT_OK, "\n".join(lines) + "\n")
 
 
+def _flow_report(args, system, traj, extra=(), keys=(), footer=()):
+    """The report of a flow run: columns t, the extra (name, values) columns,
+    the observers and L0..., as one JSON document with the extra keys or as
+    CSV pieces ending in the footer lines."""
+    columns = ["t", *(name for name, _ in extra), *system.observe]
+    columns += (f"L{k}" for k in range(traj.coeffs.shape[1]))
+    observed = [traj.invariants[name] for name in system.observe]
+    table = np.column_stack([traj.t, *(v for _, v in extra), *observed, traj.coeffs])
+    if args.format == "machine":
+        doc = {"command": args.command, "columns": columns, "rows": table.tolist()}
+        doc.update(keys)
+        return (EXIT_OK, _machine(doc))
+    return (EXIT_OK, _csv(columns, table, footer))
+
+
 def _cmd_lax(args) -> tuple[int, str | Iterator[str]]:
     system = load_lax_system(args.system)
     if args.dt is not None or args.t_end is not None:
@@ -244,15 +249,7 @@ def _cmd_lax(args) -> tuple[int, str | Iterator[str]]:
             dt=args.dt if args.dt is not None else system.dt,
             t_end=args.t_end if args.t_end is not None else system.t_end,
         )
-    traj = integrate(system)
-    columns = ["t", *system.observe, *(f"L{k}" for k in range(traj.coeffs.shape[1]))]
-    table = np.column_stack(
-        [traj.t, *(traj.invariants[name] for name in system.observe), traj.coeffs]
-    )
-    if args.format == "machine":
-        doc = {"command": "lax", "columns": columns, "rows": table.tolist()}
-        return (EXIT_OK, _machine(doc))
-    return (EXIT_OK, _csv(columns, table))
+    return _flow_report(args, system, integrate(system))
 
 
 def _cmd_oscillator(args) -> tuple[int, str | Iterator[str]]:
@@ -273,41 +270,19 @@ def _cmd_oscillator(args) -> tuple[int, str | Iterator[str]]:
     )
     system = oscillator_system(params, args.dt, args.t_end)
     traj = integrate(system)
-    size = traj.coeffs.shape[1]
-    columns = ["t", "q", "p", "H", *system.observe, *(f"L{k}" for k in range(size))]
     q, p = traj.state.T
     with np.errstate(over="ignore"):
         energy = hamiltonian(q, p, params.omega)
     require_finite(energy, system.dt, "H")
-    table = np.column_stack(
-        [
-            traj.t,
-            traj.state,
-            energy,
-            *(traj.invariants[name] for name in system.observe),
-            traj.coeffs,
-        ]
-    )
     report = monodromy_report(params)
-    if args.format == "machine":
-        doc = {
-            "command": "oscillator",
-            "columns": columns,
-            "rows": table.tolist(),
-            "monodromy": {
-                "degree": report.degree,
-                "period": report.period,
-                "defect": report.defect,
-                "periodic": report.periodic,
-            },
-        }
-        return (EXIT_OK, _machine(doc))
     footer = (
         f"# monodromy degree={report.degree} period={format_float(report.period)} "
         f"defect={format_float(report.defect)} "
         f"periodic={'true' if report.periodic else 'false'}",
     )
-    return (EXIT_OK, _csv(columns, table, footer))
+    extra = (("q", q), ("p", p), ("H", energy))
+    keys = {"monodromy": asdict(report)}
+    return _flow_report(args, system, traj, extra, keys, footer)
 
 
 _HANDLERS = {

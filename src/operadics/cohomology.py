@@ -167,7 +167,7 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
         raise BackendMismatchError("exact entries expected")
     if not spec.is_associative():
         warnings.warn(
-            f"mu of {spec.name!r} is not associative; the matrix is still "
+            f"mu of {reprlib.repr(spec.name)} is not associative; the matrix is still "
             "well defined but its cohomology is not",
             stacklevel=2,
         )
@@ -276,6 +276,8 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
     else:
         dense = [_exact(row) for row in matrix]
         ncols = len(dense[0]) if dense else 0
+        if any(len(row) != ncols for row in dense):
+            raise ShapeMismatchError(f"dense rows of unequal length, first has {ncols}")
         rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
     for row, value in zip(rows, rhs):
         if value:

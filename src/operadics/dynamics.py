@@ -40,9 +40,6 @@ from .errors import (
 )
 from .multiop import (
     ENDO,
-    MAX_CELLS,
-    MAX_STEPS,
-    MAX_TRIPLETS,
     MultiOp,
     partial_compose,
     sub,
@@ -50,6 +47,18 @@ from .multiop import (
 from .scalars import fields, finite, op_values, positive_int, read_json
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
+
+# Hard cap on RK4 steps per run (t_end / dt); every step keeps one sample.
+MAX_STEPS = 1_000_000
+
+# Hard cap on the values a run keeps: (steps + 1) samples times (state +
+# observers + coefficients).  It admits `oscillator --degree 1` at MAX_STEPS
+# (7 values a sample) and bounds the trajectory at 128 MiB of float64.
+MAX_CELLS = 2**24
+
+# Hard cap on the (row, column, value) triplets of a Lax right-hand side; at
+# about 48 bytes an entry it keeps a run's triplet arrays near 400 MiB.
+MAX_TRIPLETS = 2**23
 
 
 def lax_rhs(m: MultiOp, l: MultiOp) -> MultiOp:
@@ -72,6 +81,9 @@ _OBSERVER_DEGREE = {"trace1": 1, "trace2": 1, "trace3": 1, "assoc_defect": 2}
 # Coefficients in one block of stacked associators, which bounds the
 # temporaries of assoc_defect however many samples a run keeps.
 _ASSOC_BLOCK = 1 << 20
+
+# matrix_exp ends its Taylor series at the first term with no entry above this.
+_EXP_TOL = 1e-13
 
 
 def evaluate_observer(name: str, coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -341,7 +353,7 @@ def require_finite(samples: np.ndarray, dt: float, what: str, start: int = 0):
         raise NonFiniteError(f"non-finite {what} at t = {first * dt}")
 
 
-def matrix_exp(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Dense matrix exponential by scaling-and-squaring of the Taylor series."""
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -355,7 +367,7 @@ def matrix_exp(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     for k in range(1, 64):
         term = term @ b / k
         out = out + term
-        if float(np.abs(term).max()) <= tol:
+        if float(np.abs(term).max()) <= _EXP_TOL:
             break
     for _ in range(squarings):
         out = out @ out

@@ -76,18 +76,6 @@ FLOAT = "float"
 # Hard cap on coefficient storage: d**(degree+1) entries.
 SIZE_CAP = 65536
 
-# Hard cap on RK4 steps per run (t_end / dt); every step keeps one sample.
-MAX_STEPS = 1_000_000
-
-# Hard cap on the values a run keeps: (steps + 1) samples times (state +
-# observers + coefficients).  It admits `oscillator --degree 1` at MAX_STEPS
-# (7 values a sample) and bounds the trajectory at 128 MiB of float64.
-MAX_CELLS = 2**24
-
-# Hard cap on the (row, column, value) triplets of a Lax right-hand side; at
-# about 48 bytes an entry it keeps a run's triplet arrays near 400 MiB.
-MAX_TRIPLETS = 2**23
-
 # Largest stack of terms (gathered operands, products, signed terms) that
 # one chunk of a sum builds, in coefficients.
 _STACK_ENTRIES = 2**18
@@ -137,18 +125,13 @@ def _int64_form(arr: np.ndarray):
 
 
 def _checked_size(dim: int, degree: int, variance: str) -> int:
-    """The coefficient count of a valid shape; raises on an invalid one."""
+    """The coefficient count dim**(degree+1) of a valid shape within SIZE_CAP."""
     if variance not in VARIANCES:
         raise VarianceMismatchError(f"unknown variance {variance!r}")
     if dim < 1:
         raise ShapeMismatchError(f"dim must be >= 1, got {dim}")
     if degree < 0:
         raise ShapeMismatchError(f"degree must be >= 0, got {degree}")
-    return _capped_size(dim, degree)
-
-
-def _capped_size(dim: int, degree: int) -> int:
-    """dim**(degree+1), the coefficient count; SizeCapError above SIZE_CAP."""
     size = dim ** (degree + 1)
     if size > SIZE_CAP:
         raise SizeCapError(
@@ -274,20 +257,15 @@ def _arrays(ops) -> list:
     return [pair[0] for pair in ints]
 
 
-def _common_backend(f: MultiOp, g: MultiOp) -> str:
-    if f.backend != g.backend:
-        raise BackendMismatchError(
-            f"cannot combine {f.backend} and {g.backend} operands"
-        )
-    return f.backend
-
-
 def _check_pair(f: MultiOp, g: MultiOp):
     if f.dim != g.dim:
         raise DimMismatchError(f"dim {f.dim} vs {g.dim}")
     if f.variance != g.variance:
         raise VarianceMismatchError(f"{f.variance} vs {g.variance}")
-    _common_backend(f, g)
+    if f.backend != g.backend:
+        raise BackendMismatchError(
+            f"cannot combine {f.backend} and {g.backend} operands"
+        )
 
 
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:

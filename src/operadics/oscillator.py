@@ -26,6 +26,9 @@ from .dynamics import LaxSystem, conjugation_oracle
 from .errors import ConfigError, DegreeMismatchError, DimMismatchError, NonFiniteError
 from .multiop import ENDO, MultiOp, max_abs_diff
 
+# A monodromy defect at most this large reports the solution as periodic.
+_PERIODIC_TOL = 1e-8
+
 
 def classical_lax(q: float, p: float, omega: float) -> MultiOp:
     """The plane Lax matrix [[p, w q], [w q, -p]] as a degree-1 operation."""
@@ -128,7 +131,7 @@ class MonodromyReport:
     periodic: bool
 
 
-def monodromy_report(params: OscillatorParams, tol: float = 1e-8) -> MonodromyReport:
+def monodromy_report(params: OscillatorParams) -> MonodromyReport:
     """Mismatch between the transported solution after one period and l_init.
 
     Even degrees pick up the sign (-1)^(n+1) = -1 from exp(TM) = -identity,
@@ -143,7 +146,7 @@ def monodromy_report(params: OscillatorParams, tol: float = 1e-8) -> MonodromyRe
         degree=params.degree,
         period=params.period,
         defect=defect,
-        periodic=defect <= tol,
+        periodic=defect <= _PERIODIC_TOL,
     )
 
 

@@ -654,6 +654,47 @@ def test_oscillator_machine_monodromy_block():
     assert doc["monodromy"]["period"] == pytest.approx(3.141592653589793)
 
 
+def _degree_three_l_init(tmp_path):
+    path = tmp_path / "l3.json"
+    coeffs = [(k * 7 % 5 - 2) / 3 for k in range(16)]
+    path.write_text(json.dumps({"degree": 3, "coeffs": coeffs}))
+    return ["--degree", "3", "--l-init", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda tmp: ["lax", "--system", str(bundled_path("lax_deg1.json"))],
+        lambda tmp: ["lax", "--system", str(bundled_path("lax_deg2.json"))],
+        lambda tmp: ["oscillator", "--t-end", "3"],
+        lambda tmp: ["oscillator", "--t-end", "3", *_degree_three_l_init(tmp)],
+    ],
+    ids=["lax-deg1", "lax-deg2", "oscillator-deg1", "oscillator-deg3"],
+)
+def test_machine_and_csv_flow_reports_hold_one_table(tmp_path, capsys, make_args):
+    args = make_args(tmp_path)
+    assert cli.main(args) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert cli.main([*args, "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert header.split(",") == doc["columns"]
+    # "%.17g" round-trips, so every CSV value equals its JSON value exactly
+    rows = [[float(x) for x in line.split(",")] for line in lines if line[0] != "#"]
+    assert rows == doc["rows"]
+    footer = [line.split() for line in lines if line[0] == "#"]
+    if args[0] == "lax":
+        assert footer == [] and "monodromy" not in doc
+        return
+    [[_, label, *fields]] = footer
+    got = dict(field.split("=") for field in fields)
+    mono = doc["monodromy"]
+    assert label == "monodromy" and got.keys() == mono.keys()
+    assert int(got["degree"]) == mono["degree"]
+    assert float(got["period"]) == mono["period"]
+    assert float(got["defect"]) == mono["defect"]
+    assert got["periodic"] == json.dumps(mono["periodic"])
+
+
 def test_oscillator_rejects_bad_omega():
     assert run_cli("oscillator", "--omega", "0").returncode == 2
 

@@ -341,6 +341,20 @@ def test_solve_needs_one_right_hand_side_entry_per_row():
             solve_linear([[1, 0], [0, 0]], rhs)
 
 
+def test_ragged_dense_rows_are_a_shape_mismatch():
+    # a short row is not padded with zeros, and a long row's extra entry is
+    # not read as a right-hand side
+    calls = [
+        lambda: solve_linear([[1], [1, 2]], [1, 1]),
+        lambda: exact_rank([[1, 2], [1, 2, 3]]),
+        lambda: exact_rank([[1, 2], [3]]),
+        lambda: nullspace([[1], [1, 2]]),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError, match="unequal length"):
+            call()
+
+
 def test_block_solve_rejects_inconsistent_block():
     # blocks {row 0, col 1} and {rows 1-2, cols 0 and 3}; rows (2, 4) and (1, 2)
     # of the second make the right-hand side (3, 1) inconsistent
@@ -470,6 +484,14 @@ def test_nonassociative_matrix_warns_but_computes():
     spec = _nonassociative_spec()
     with pytest.warns(UserWarning):
         coboundary_matrix(spec, 1)
+
+
+def test_nonassociative_warning_shortens_a_long_name():
+    spec = _nonassociative_spec()
+    spec = AlgebraSpec(name="x" * 50000, dim=spec.dim, mu=spec.mu)
+    with pytest.warns(UserWarning) as record:
+        coboundary_matrix(spec, 1)
+    assert len(record) == 1 and len(str(record[0].message)) < 200
 
 
 # --- Betti tables -----------------------------------------------------------

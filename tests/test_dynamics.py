@@ -19,6 +19,7 @@ from scipy.linalg import expm as scipy_expm
 from operadics import dynamics
 from operadics.braces import mu_squared
 from operadics.dynamics import (
+    MAX_CELLS,
     LaxSystem,
     _rhs_triplets,
     conjugation_oracle,
@@ -39,7 +40,6 @@ from operadics.errors import (
 from operadics.multiop import (
     ENDO,
     FLOAT,
-    MAX_CELLS,
     MultiOp,
     identity_op,
     max_abs_diff,
