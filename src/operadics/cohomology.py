@@ -69,7 +69,10 @@ class AlgebraSpec:
 
     @classmethod
     def from_structure_constants(cls, name: str, dim: int, values) -> "AlgebraSpec":
-        return cls(name, dim, MultiOp(dim, 2, ENDO, _exact_array(values)))
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise ParseError(f"exact scalar expected, got {type(v).__name__}")
+        return cls(name, dim, MultiOp(dim, 2, ENDO, values))
 
     @cached_property
     def associator(self) -> MultiOp:
@@ -89,7 +92,7 @@ class AlgebraSpec:
         rows = np.concatenate((c.transpose(0, 2, 1), c)).reshape(2 * d * d, d)
         rhs = np.eye(d, dtype=int).reshape(-1).tolist() * 2
         u = solve_linear(rows.tolist(), rhs)
-        return None if u is None else tuple(_exact_array(u).tolist())
+        return None if u is None else tuple(MultiOp(d, 0, ENDO, u).coeffs.tolist())
 
 
 @dataclass(frozen=True)
@@ -127,19 +130,6 @@ class BettiTable:
     ranks: tuple[int, ...]
     kernels: tuple[int, ...]
     betti: tuple[int, ...]
-
-
-def _exact_array(values) -> np.ndarray:
-    """Normalize parsed scalars: integral Fractions become plain ints."""
-    out = []
-    for v in values:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            out.append(int(v))
-        elif isinstance(v, (int, Fraction)):
-            out.append(v)
-        else:
-            raise ParseError(f"exact scalar expected, got {type(v).__name__}")
-    return np.array(out, dtype=object)
 
 
 def algebra_from_json(text: str) -> AlgebraSpec:
@@ -466,7 +456,7 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
     solution = solve_linear(matrix, f.coeffs.tolist())
     if solution is None:
         return None
-    return MultiOp(spec.dim, f.degree - 1, f.variance, _exact_array(solution))
+    return MultiOp(spec.dim, f.degree - 1, f.variance, solution)
 
 
 def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:

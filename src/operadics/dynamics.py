@@ -36,6 +36,7 @@ from .errors import (
     DimMismatchError,
     NonFiniteError,
     ParseError,
+    ShapeMismatchError,
     VarianceMismatchError,
 )
 from .multiop import (
@@ -96,6 +97,10 @@ def evaluate_observer(name: str, coeffs: np.ndarray, dim: int) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if name not in OBSERVER_NAMES:
         raise ConfigError(f"unknown observer {reprlib.repr(name)}")
+    if coeffs.ndim != 2:
+        raise ShapeMismatchError(
+            f"observer samples must be rows of a 2-D stack, got {coeffs.ndim}-D"
+        )
     degree = _OBSERVER_DEGREE.get(name)
     if degree is not None and coeffs.shape[1] != dim ** (degree + 1):
         raise DegreeMismatchError(f"observer {name!r} needs degree-{degree} L")

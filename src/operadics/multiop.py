@@ -35,10 +35,11 @@ contraction's bound is bound(h) * prod(bound(gj) * dim) * terms, a sum's is
 the sum of the bounds, and scaling by k multiplies it by |k|.  Contractions,
 add, scale, == and is_zero run on int64 while the result's bound stays below
 _INT_LIMIT; Fractions, larger values and larger results take Python ints and
-Fractions in object arrays.  The public coeffs of an exact op is always such
-an object array, made on first read for an int64 op; an op built from
-coefficients gets its int64 form on its first arithmetic use.  The float
-backend uses float64.
+Fractions in object arrays.  Every exact op gets its form when it is made:
+_coefficients decides it for given coefficients, and results carry their
+bounds.  The public coeffs of an exact op is always an object array of Python
+ints and Fractions, made on first read for an int64 op.  The float backend
+uses float64.
 """
 
 from __future__ import annotations
@@ -88,40 +89,34 @@ _CACHED_ENTRIES = 2**15
 _INT_LIMIT = 2**62
 
 
-# Element types of an exact coefficient array.
-_EXACT_TYPES = frozenset((int, Fraction))
+def _coefficients(values: list):
+    """The coefficient array of a list of values, and the bound of its int64
+    form: the one place that decides the form of given coefficients.
 
-
-def _coefficient_array(values) -> np.ndarray:
-    """Coefficients of a Python sequence: float64 if it holds floats, else exact.
-
-    Exact values are kept as Python ints and Fractions; numpy integers become
-    ints, so later arithmetic on them cannot wrap.
+    Any float, numpy floats included, makes float64 coefficients, with bound
+    None; a float mixed with a Fraction is a BackendMismatchError.  Otherwise
+    integral Fractions and numpy integers become Python ints.  Ints that are
+    all below _INT_LIMIT in magnitude are held as int64 with their largest
+    magnitude as bound; any other exact values as an object array, with bound
+    None.  A value of any other type is a ShapeMismatchError.
     """
-    has_float = any(isinstance(v, float) for v in values)
-    has_exact = any(isinstance(v, Fraction) for v in values)
-    if has_float and has_exact:
-        raise BackendMismatchError("cannot mix float and Fraction coefficients")
-    if has_float:
-        return np.array(values, dtype=np.float64)
-    exact = [v if isinstance(v, Fraction) else operator.index(v) for v in values]
-    return np.array(exact, dtype=object)
-
-
-def _int64_form(arr: np.ndarray):
-    """(int64 copy, largest magnitude) of exact coefficients that are all ints
-    below _INT_LIMIT in magnitude, else None."""
-    if arr.dtype != object:
-        return None
-    values = arr.tolist()
-    if not all(type(v) is int for v in values):
-        return None
-    bound = max(map(abs, values))
-    if bound >= _INT_LIMIT:
-        return None
-    out = np.array(values, dtype=np.int64)
-    out.setflags(write=False)
-    return out, bound
+    kinds = set(map(type, values))
+    if not kinds <= {int}:
+        for v in values:
+            if not isinstance(v, (int, Fraction, float, np.integer, np.floating)):
+                raise ShapeMismatchError(
+                    f"coefficient of type {type(v).__name__}: int, Fraction or float expected"
+                )
+        if any(issubclass(k, (float, np.floating)) for k in kinds):
+            if any(issubclass(k, Fraction) for k in kinds):
+                raise BackendMismatchError("cannot mix float and Fraction coefficients")
+            return np.array(values, dtype=np.float64), None
+        values = [int(v) if v.denominator == 1 else v for v in values]
+        kinds = set(map(type, values))
+    bound = max(map(abs, values), default=0)
+    if kinds <= {int} and bound < _INT_LIMIT:
+        return np.array(values, dtype=np.int64), bound
+    return np.array(values, dtype=object), None
 
 
 def _checked_size(dim: int, degree: int, variance: str) -> int:
@@ -143,40 +138,28 @@ def _checked_size(dim: int, degree: int, variance: str) -> int:
 class MultiOp:
     """Immutable degree-n multilinear operation over a d-dimensional module.
 
-    ``backend`` is EXACT for object coefficients and FLOAT for float64; it is
-    set once, when the op is made.  ``_ints`` is the (int64 coefficients,
-    bound) of an exact op on the int64 path, else None; such an op makes its
-    object ``coeffs`` on first read.
+    ``backend`` is EXACT for exact coefficients and FLOAT for float64.  Both
+    it and ``_ints``, the (int64 coefficients, bound) of an exact op on the
+    int64 path or else None, are set when the op is made; an int64 op makes
+    its object ``coeffs`` on first read.
     """
 
     def __init__(self, dim: int, degree: int, variance: str, coeffs):
         size = _checked_size(dim, degree, variance)
-        arr = coeffs
-        if not isinstance(arr, np.ndarray):
-            arr = _coefficient_array(list(arr))
-        elif arr.dtype == object:
-            if not _EXACT_TYPES.issuperset(map(type, arr.flat)):
-                arr = _coefficient_array(list(arr.flat))
-        elif arr.dtype != np.float64:
-            if np.issubdtype(arr.dtype, np.integer):
-                arr = arr.astype(object)
-            elif np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(np.float64)
-            else:
-                raise ShapeMismatchError(f"unsupported coefficient dtype {arr.dtype}")
-        arr = arr.reshape(-1)
+        if not isinstance(coeffs, np.ndarray):
+            arr, bound = _coefficients(list(coeffs))
+        elif coeffs.dtype == object or np.issubdtype(coeffs.dtype, np.integer):
+            arr, bound = _coefficients(coeffs.reshape(-1).tolist())
+        elif np.issubdtype(coeffs.dtype, np.floating):
+            arr, bound = coeffs.astype(np.float64).reshape(-1), None
+        else:
+            raise ShapeMismatchError(f"unsupported coefficient dtype {coeffs.dtype}")
         if arr.size != size:
             raise ShapeMismatchError(
                 f"expected {size} coefficients for dim {dim} degree "
                 f"{degree}, got {arr.size}"
             )
-        if arr.base is not None or arr is coeffs:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        backend = EXACT if arr.dtype.hasobject else FLOAT
-        self.__dict__.update(
-            dim=dim, degree=degree, variance=variance, coeffs=arr, backend=backend
-        )
+        self.__dict__.update(vars(self._wrap(dim, degree, variance, arr, bound)))
 
     @classmethod
     def _wrap(cls, dim, degree, variance, arr, bound=None):
@@ -207,10 +190,6 @@ class MultiOp:
         arr = self._ints[0].astype(object)
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def _ints(self):
-        return _int64_form(self.coeffs)
 
     @property
     def reduced_degree(self) -> int:

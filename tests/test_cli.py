@@ -11,12 +11,14 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from operadics import cli
 from operadics.bundled import BUNDLED_FILES, bundled_path
+from operadics.cohomology import load_algebra
 from operadics.errors import ConfigError
 from operadics.scalars import format_float
 
@@ -147,15 +149,17 @@ def test_cohomology_table_for_bundled_algebras():
 
 
 def test_cohomology_machine_matches_expected_numbers():
-    r = run_twice(
-        "cohomology",
-        "--algebra",
-        str(bundled_path("mat2.json")),
-        "--format",
-        "machine",
-    )
-    assert r.returncode == 0
-    doc = json.loads(r.stdout)
+    bundled = bundled_path("mat2.json")
+    # the same constants written as "1/1", "2/2" and "0/3" read as the same ints
+    fractions = Path(__file__).parent / "data" / "mat2_fractions.json"
+    first = None
+    for path in (bundled, fractions):
+        r = run_twice("cohomology", "--algebra", str(path), "--format", "machine")
+        assert r.returncode == 0
+        first = first or r.stdout
+        assert r.stdout == first, path
+        assert load_algebra(path).mu._ints is not None, path
+    doc = json.loads(first)
     assert [row["h"] for row in doc["table"]] == [1, 0, 0]
     assert [row["rank"] for row in doc["table"]] == [3, 13, 51]
 

@@ -36,6 +36,7 @@ from operadics.errors import (
     DegreeMismatchError,
     NonFiniteError,
     ParseError,
+    ShapeMismatchError,
 )
 from operadics.multiop import (
     ENDO,
@@ -224,6 +225,15 @@ def test_observers_on_a_known_matrix():
         evaluate_observer("assoc_defect", stack, 2)
     with pytest.raises(DegreeMismatchError):
         evaluate_observer("trace2", np.zeros((1, 8)), 2)
+
+
+@pytest.mark.parametrize("name", ["norm", "trace1", "trace2", "assoc_defect"])
+def test_observers_need_a_stack_of_samples(name):
+    # one sample given as a bare row, or a stack with a stray axis
+    for coeffs in (np.zeros(4), np.zeros((1, 1, 4))):
+        with pytest.raises(ShapeMismatchError, match="2-D stack") as info:
+            evaluate_observer(name, coeffs, 2)
+        assert "\n" not in str(info.value)
 
 
 def test_associator_observer_vanishes_for_coordinatewise_product():

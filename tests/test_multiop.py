@@ -26,6 +26,8 @@ from operadics.errors import (
     ArityMismatchError,
     BackendMismatchError,
     DimMismatchError,
+    ParseError,
+    ShapeMismatchError,
     SizeCapError,
     SlotOutOfRangeError,
     VarianceMismatchError,
@@ -170,6 +172,34 @@ def test_flat_index_rejects_wrong_secondary_count():
 def test_constructor_rejects_wrong_coefficient_count():
     with pytest.raises(Exception):
         MultiOp(2, 1, ENDO, np.zeros(3, dtype=np.int64))
+
+
+def test_non_scalar_coefficients_are_a_shape_mismatch():
+    for value in ("a", None, 1j, [1]):
+        with pytest.raises(ShapeMismatchError, match=f"type {type(value).__name__}:") as info:
+            MultiOp(1, 1, ENDO, [value])
+        assert len(str(info.value).splitlines()) == 1
+    # a numpy float is a float, as in a float32 array
+    single = MultiOp(1, 1, ENDO, [np.float32(1.5)])
+    assert single.backend == FLOAT
+    assert single == MultiOp(1, 1, ENDO, np.array([1.5], dtype=np.float32))
+    # the exact-only algebra constructor reads each inexact entry as a parse error
+    for value in ("1", 1.5, np.float64(1.5), None):
+        with pytest.raises(ParseError):
+            AlgebraSpec.from_structure_constants("x", 1, [value])
+
+
+def test_integral_fractions_take_the_int64_form():
+    op = MultiOp(1, 1, ENDO, [Fraction(4, 2)])
+    assert op._ints is not None and op._ints[1] == 2
+    assert op.coeffs.tolist() == [2] and type(op.coeffs.tolist()[0]) is int
+
+
+def test_int64_input_makes_its_object_coeffs_on_first_read():
+    op = MultiOp(2, 1, ENDO, np.array([1, -5, 0, 2], dtype=np.int64))
+    assert "coeffs" not in op.__dict__ and op._ints[1] == 5
+    assert_python_scalars(op)
+    assert "coeffs" in op.__dict__ and op.coeffs.tolist() == [1, -5, 0, 2]
 
 
 def test_equality_includes_backend_and_variance():
