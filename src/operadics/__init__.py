@@ -103,7 +103,6 @@ from .oscillator import (
     OscillatorParams,
     canonical_flow,
     classical_lax,
-    classical_lax_time_derivative,
     exact_flow,
     hamiltonian,
     m_matrix,

@@ -49,7 +49,7 @@ from .errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, is_zero, zero_op
+from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, _coefficients, is_zero, zero_op
 from .scalars import exact_scalar, fields, op_values, positive_int, read_json, sign_pow
 
 # Hard cap on the insertions of mu in one Betti table, the sum over degrees
@@ -272,13 +272,13 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
     for row, value in zip(rows, rhs):
         if value:
             row[ncols] = value
-    out = []
-    for row in rows:
-        mult = math.lcm(*[x.denominator for x in row.values()])
-        out.append(
-            {c: int(x.numerator) * (mult // x.denominator) for c, x in row.items()}
-        )
-    return out, ncols
+    return [_integral(row) for row in rows], ncols
+
+
+def _integral(row: dict) -> dict:
+    """A sparse row of exact values times the lcm of its denominators."""
+    mult = math.lcm(*[x.denominator for x in row.values()])
+    return {c: int(x.numerator) * (mult // x.denominator) for c, x in row.items()}
 
 
 def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
@@ -350,18 +350,15 @@ def solve_linear(matrix, rhs):
     return x
 
 
-def nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the exact kernel, one vector per free column, in column order.
-
-    The vector of free column f has 1 at f, 0 at the other free columns and
-    -row[f] / row[p] at the pivot column p of each reduced row.
-    """
+def nullspace(matrix) -> list[dict[int, Fraction]]:
+    """Basis of the exact kernel as sparse vectors {column: Fraction}, one per
+    free column in column order, holding only nonzeros: the vector of free
+    column f has 1 at f and -row[f] / row[p] at the pivot column p of each
+    reduced row that holds f."""
     rows, ncols = _rows(matrix)
     pivots = _reduce(rows, ncols)
     pivot_cols = {p for p, _ in pivots}
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_cols}
-    for f, vec in basis.items():
-        vec[f] = Fraction(1)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_cols}
     for p, row in pivots:
         for f, value in row.items():
             if f != p:
@@ -460,13 +457,17 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
 
 
 def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
-    """Integer basis of the kernel of the coboundary in the given degree."""
+    """Integer basis of the kernel of the coboundary in the given degree: the
+    sparse nullspace vectors with their denominators cleared."""
     _require_associative(spec)
-    rows, ncols = _rows(nullspace(coboundary_matrix(spec, degree)))
-    return [
-        MultiOp(spec.dim, degree, ENDO, [row.get(c, 0) for c in range(ncols)])
-        for row in rows
-    ]
+    matrix = coboundary_matrix(spec, degree)
+    basis = []
+    for vec in map(_integral, nullspace(matrix)):
+        values, bound = _coefficients(list(vec.values()))
+        arr = np.zeros(matrix.cols, values.dtype)
+        arr[list(vec)] = values
+        basis.append(MultiOp._wrap(spec.dim, degree, ENDO, arr, bound))
+    return basis
 
 
 def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:

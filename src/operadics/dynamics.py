@@ -281,23 +281,23 @@ def integrate(system: LaxSystem) -> Trajectory:
     form that fits large systems, and one that keeps finite the runs whose
     dense matrix overflows.
 
-    Sample j is row j of one preallocated array.  The rows are checked for
-    finiteness once per block of _CHECK_STEPS steps, and each observer's
-    samples once, under the same silenced overflow warnings.
+    Sample j is row j of one preallocated array.  The triplets are built, and
+    the rows checked for finiteness once per block of _CHECK_STEPS steps and
+    each observer's samples once, under the same silenced overflow warnings.
     """
-    rows, cols, vals, width = _rhs_triplets(
-        _as_float(system.m), system.l0.degree, system.state_matrix
-    )
     ns = len(system.state0)
     dt, steps = system.dt, system.steps
-    vals *= dt
-    # innermost factor first: hA/4, hA/3, hA/2, hA
-    weights = (vals / 4.0, vals / 3.0, vals / 2.0, vals)
-    traj = np.empty((steps + 1, width))
-    traj[0, :ns] = system.state0
-    traj[0, ns:] = system.l0.coeffs
     # overflow surfaces as a NonFiniteError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, vals, width = _rhs_triplets(
+            _as_float(system.m), system.l0.degree, system.state_matrix
+        )
+        vals *= dt
+        # innermost factor first: hA/4, hA/3, hA/2, hA
+        weights = (vals / 4.0, vals / 3.0, vals / 2.0, vals)
+        traj = np.empty((steps + 1, width))
+        traj[0, :ns] = system.state0
+        traj[0, ns:] = system.l0.coeffs
         propagator = _dense_propagator(rows, cols, weights, width)
         for start in range(0, steps, _CHECK_STEPS):
             stop = min(start + _CHECK_STEPS, steps)

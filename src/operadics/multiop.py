@@ -36,10 +36,10 @@ the sum of the bounds, and scaling by k multiplies it by |k|.  Contractions,
 add, scale, == and is_zero run on int64 while the result's bound stays below
 _INT_LIMIT; Fractions, larger values and larger results take Python ints and
 Fractions in object arrays.  Every exact op gets its form when it is made:
-_coefficients decides it for given coefficients, and results carry their
-bounds.  The public coeffs of an exact op is always an object array of Python
-ints and Fractions, made on first read for an int64 op.  The float backend
-uses float64.
+_coefficients decides it for given coefficients and for object results, and
+int64 results carry their bounds.  The public coeffs of an exact op is always
+an object array of Python ints and Fractions, made on first read for an int64
+op.  The float backend uses float64.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def add(f: MultiOp, g: MultiOp) -> MultiOp:
     a, b = f._ints, g._ints
     if a is not None and b is not None and a[1] + b[1] < _INT_LIMIT:
         return MultiOp._wrap(f.dim, f.degree, f.variance, a[0] + b[0], a[1] + b[1])
-    return MultiOp._wrap(f.dim, f.degree, f.variance, f.coeffs + g.coeffs)
+    return _result(f, f.degree, f.coeffs + g.coeffs)
 
 
 def sub(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -291,7 +291,15 @@ def scale(s, f: MultiOp) -> MultiOp:
         k, (arr, bound) = operator.index(s), f._ints
         if abs(k) < _INT_LIMIT and abs(k) * bound < _INT_LIMIT:
             return MultiOp._wrap(f.dim, f.degree, f.variance, k * arr, abs(k) * bound)
-    return MultiOp._wrap(f.dim, f.degree, f.variance, s * f.coeffs)
+    return _result(f, f.degree, s * f.coeffs)
+
+
+def _result(like: MultiOp, degree: int, arr: np.ndarray, bound=None) -> MultiOp:
+    """The op of the dim and variance of like holding a computed array: int64
+    within bound, float64, or object, which takes the form _coefficients gives."""
+    if bound is None and arr.dtype.hasobject:
+        arr, bound = _coefficients(arr.tolist())
+    return MultiOp._wrap(like.dim, degree, like.variance, arr, bound)
 
 
 def op_norm(f: MultiOp):
@@ -388,7 +396,7 @@ def _sum(like: MultiOp, degree: int, parts) -> MultiOp:
             if total is not None:
                 stack[0] += total
             total = stack[0] if len(stack) == 1 else np.add.reduce(stack)
-    return MultiOp._wrap(like.dim, degree, like.variance, total, bound)
+    return _result(like, degree, total, bound)
 
 
 def _bound(parts):

@@ -106,18 +106,6 @@ def exact_flow(params: OscillatorParams, t: float) -> tuple[float, float]:
     return (q, p)
 
 
-def classical_lax_time_derivative(params: OscillatorParams, t: float) -> MultiOp:
-    """d/dt of L(q(t), p(t)) by exact differentiation of the closed form.
-
-    Entrywise this is [[-w^2 q, w p], [w p, w^2 q]].
-    """
-    q, p = exact_flow(params, t)
-    w = params.omega
-    dp = -(w * w) * q
-    dq_w = w * p
-    return MultiOp(2, 1, ENDO, np.array([dp, dq_w, dq_w, -dp], dtype=np.float64))
-
-
 def transport_solution(params: OscillatorParams, t: float) -> MultiOp:
     """The degree-n solution at time t: conjugation transport of l_init."""
     return conjugation_oracle(m_matrix(params.omega), resolve_l_init(params), t)

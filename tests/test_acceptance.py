@@ -44,7 +44,6 @@ from operadics.multiop import (
 from operadics.oscillator import (
     OscillatorParams,
     classical_lax,
-    classical_lax_time_derivative,
     exact_flow,
     hamiltonian,
     m_matrix,
@@ -53,6 +52,8 @@ from operadics.oscillator import (
 )
 from operadics.scalars import sign_pow
 from operadics.verify import SuiteConfig, run_suite
+
+from oracles import classical_lax_time_derivative
 
 
 def _run(name, **overrides):

@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,24 @@ def test_lax_divergent_run_exits_five(tmp_path):
     r = run_cli("lax", "--system", str(path))
     assert r.returncode == 5
     assert "non-finite" in r.stderr
+
+
+@pytest.mark.parametrize("m11", [1e308, -1e308])
+def test_huge_entry_of_m_exits_five_with_one_line(tmp_path, capsys, m11):
+    # the operator overflows as it is built, and the finiteness check reports
+    # it with no numpy warning, cold or in process with warnings as errors
+    doc = json.loads(bundled_path("lax_deg2.json").read_text())
+    doc["M"] = [0.0, -1.0, 1.0, m11]
+    path = tmp_path / "huge_m.json"
+    path.write_text(json.dumps(doc))
+    args = ["lax", "--system", str(path)]
+    r = run_cli(*args)
+    assert_one_line_error(r, 5)
+    assert r.stderr == "error: non-finite coefficients at t = 0.001\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(args) == 5
+    assert capsys.readouterr().err == r.stderr
 
 
 def _lax_doc(**overrides):

@@ -14,8 +14,12 @@ against the full complex ranked degree by degree, and each normalized
 column against the brace-kernel coboundary of its lift to a full cochain.
 """
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -124,6 +128,11 @@ def nullspace_oracle(matrix):
             vec[col] = -row[free]
         basis.append(vec)
     return basis
+
+
+def densify(vectors, ncols):
+    """Sparse {column: value} vectors as dense lists of ncols entries."""
+    return [[vec.get(c, Fraction(0)) for c in range(ncols)] for vec in vectors]
 
 
 def solve_oracle(matrix, rhs):
@@ -257,7 +266,7 @@ def test_solve_and_nullspace_roundtrip():
     got = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in m]
     assert got == [Fraction(v) for v in rhs]
     assert solve_linear([[1, 0], [1, 0]], [1, 2]) is None
-    basis = nullspace(m)
+    basis = densify(nullspace(m), 3)
     assert len(basis) == 3 - exact_rank(m)
     for vec in basis:
         image = [sum(Fraction(a) * b for a, b in zip(row, vec)) for row in m]
@@ -271,7 +280,7 @@ def test_block_solvers_match_dense_reduction():
         rng = random.Random(seed)
         m = hidden_block_matrix(rng, entry)
         assert exact_rank(m) == rank_oracle(m), f"seed {seed}"
-        assert nullspace(m) == nullspace_oracle(m), f"seed {seed}"
+        assert densify(nullspace(m), len(m[0])) == nullspace_oracle(m), f"seed {seed}"
         x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m[0]]
         rhs = [sum(a * b for a, b in zip(row, x0)) for row in m]
         x = solve_linear(m, rhs)
@@ -292,7 +301,8 @@ def test_block_solvers_match_dense_reduction():
 def test_back_substitution_matches_dense_reduction_in_types():
     # each integer row of _reduce, divided by its pivot entry, is a row of the
     # Fraction Gauss-Jordan's reduced form, in the same order, and the vectors
-    # nullspace and solve_linear build from them hold only Fractions
+    # nullspace and solve_linear build from them hold only Fractions, and the
+    # sparse nullspace vectors no zeros
     cases = [(seed, small_entry) for seed in range(200)]
     cases += [(seed, huge_entry) for seed in range(50)]
     for seed, entry in cases:
@@ -307,15 +317,17 @@ def test_back_substitution_matches_dense_reduction_in_types():
         assert (reduced, pivots) == (want[: len(want_pivots)], want_pivots), seed
         rhs = [rng.randint(-2, 2) for _ in m]
         x = solve_linear(m, rhs)
-        vectors = reduced + nullspace(m) + ([x] if x is not None else [])
+        kernel = [list(vec.values()) for vec in nullspace(m)]
+        vectors = reduced + kernel + ([x] if x is not None else [])
         assert all(type(v) is Fraction for vec in vectors for v in vec), seed
+        assert all(v != 0 for vec in kernel for v in vec), seed
 
 
 def test_exact_solvers_take_only_exact_entries():
     # Python and numpy integers and Fractions are exact, even mixed
     m = np.array([[1, 2], [2, 4], [1, 0]])
     assert exact_rank(m) == 2
-    assert nullspace(m.T) == [[Fraction(-2), Fraction(1), Fraction(0)]]
+    assert densify(nullspace(m.T), 3) == [[Fraction(-2), Fraction(1), Fraction(0)]]
     assert solve_linear(m, np.array([3, 6, 1])) == [Fraction(1), Fraction(1)]
     mixed = [[np.int64(2**62), Fraction(1, 10**20)], [np.int32(1), 0]]
     assert exact_rank(mixed) == 2
@@ -361,13 +373,14 @@ def test_block_solve_rejects_inconsistent_block():
     m = [[0, 1, 0, 0], [2, 0, 0, 4], [1, 0, 0, 2], [0, 0, 0, 0]]
     assert solve_linear(m, [5, 3, 1, 0]) is None
     assert solve_linear(m, [5, 2, 1, 0]) == [Fraction(1), Fraction(5), 0, 0]
-    assert nullspace(m) == nullspace_oracle(m) == [[0, 0, 1, 0], [-2, 0, 0, 1]]
+    kernel = densify(nullspace(m), 4)
+    assert kernel == nullspace_oracle(m) == [[0, 0, 1, 0], [-2, 0, 0, 1]]
 
 
 def check_solvers_on_matrix(mat, rng):
     dense = mat.entries
     assert exact_rank(mat) == rank_oracle(dense)
-    assert nullspace(mat) == nullspace_oracle(dense)
+    assert densify(nullspace(mat), mat.cols) == nullspace_oracle(dense)
     target = [rng.randint(-2, 2) for _ in range(mat.rows)]
     assert solve_linear(mat, target) == solve_oracle(dense, target)
 
@@ -607,6 +620,40 @@ def test_cocycle_basis_dimensions_dual_numbers():
     for n in (1, 2, 3):
         for op in cocycle_basis(spec, n):
             assert is_zero(coboundary(spec.mu, op))
+
+
+def test_cocycle_bases_are_pinned():
+    # the digest of the bases as lists of coefficients, pinned from the
+    # dense kernel: the same vectors, in the same order, with the same
+    # Python types; and each op is on the int64 path
+    bases = []
+    for name, n_max in (("dual_numbers.json", 10), ("mat2.json", 2), ("field.json", 5)):
+        spec = load_algebra(bundled_path(name))
+        for n in range(n_max + 1):
+            basis = cocycle_basis(spec, n)
+            assert all(op._ints is not None for op in basis), (name, n)
+            bases.append([op.coeffs.tolist() for op in basis])
+    digest = hashlib.sha256(repr(bases).encode()).hexdigest()
+    assert digest == "8800db7d73ed6738cc28909575c08bd211d8cf207c55ebf7bbe97607a09e6749"
+
+
+def test_wide_kernel_runs_in_bounded_memory():
+    # the full dual numbers coboundary at n=13 is 32768 x 16384 with 5461
+    # kernel vectors of a few nonzeros each; as dense lists of 16384
+    # Fractions they would take over 700 MiB.  The alarm bounds a hung child.
+    code = (
+        "import signal; signal.alarm(120)\n"
+        "from operadics.bundled import bundled_path\n"
+        "from operadics.cohomology import coboundary_matrix, load_algebra, nullspace\n"
+        "spec = load_algebra(bundled_path('dual_numbers.json'))\n"
+        "assert len(nullspace(coboundary_matrix(spec, 13))) == 5461\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.Popen([sys.executable, "-c", code], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss < 200 * 1024  # KiB
 
 
 def test_random_cocycles_are_cocycles():

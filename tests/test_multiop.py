@@ -264,6 +264,18 @@ def test_fraction_scale_promotes_to_object_backend():
     assert half.coeffs[0] == Fraction(3, 2)
 
 
+def test_exact_results_take_the_normal_form():
+    # an integral result of Fraction arithmetic is held as int64 with its
+    # bound, equal to the same op made from ints
+    third = scale(Fraction(1, 3), MultiOp(2, 1, ENDO, [3, 6, 9, 12]))
+    half = MultiOp(1, 0, ENDO, [Fraction(1, 2)])
+    halving = MultiOp(1, 1, ENDO, [Fraction(1, 2)])
+    composed = partial_compose(halving, MultiOp(1, 1, ENDO, [2]), 0)
+    assert third._ints[1] == 4 and third == MultiOp(2, 1, ENDO, [1, 2, 3, 4])
+    assert add(half, half)._ints[1] == 1 and add(half, half) == MultiOp(1, 0, ENDO, [1])
+    assert composed._ints[1] == 1 and composed == MultiOp(1, 1, ENDO, [1])
+
+
 def test_mixing_backends_raises():
     f = MultiOp(1, 1, ENDO, np.array([1], dtype=np.int64))
     g = MultiOp(1, 1, ENDO, np.array([1.0]))

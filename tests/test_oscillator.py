@@ -30,7 +30,6 @@ from operadics.oscillator import (
     OscillatorParams,
     canonical_flow,
     classical_lax,
-    classical_lax_time_derivative,
     exact_flow,
     hamiltonian,
     m_matrix,
@@ -39,6 +38,8 @@ from operadics.oscillator import (
     resolve_l_init,
     transport_solution,
 )
+
+from oracles import classical_lax_time_derivative
 
 STANDARD = OscillatorParams(omega=2.0, q0=1.0, p0=0.0)
 
