@@ -103,7 +103,6 @@ from .oscillator import (
     OscillatorParams,
     canonical_flow,
     classical_lax,
-    exact_flow,
     hamiltonian,
     m_matrix,
     monodromy_report,

@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument(
             "--format",
@@ -87,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run every identity suite")
     common(pv)
+    pv.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     pv.add_argument("--dim", type=int, default=2, help="module dimension")
     pv.add_argument("--max-degree", type=int, default=3, help="largest degree drawn")
     pv.add_argument("--cases", type=int, default=200, help="cases per suite")
@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="largest cochain degree (default sized to the dimension)",
     )
-    pc.add_argument("--backend", choices=("exact", "float"), default="exact")
 
     pl = sub.add_parser("lax", help="integrate a Lax system file, stream CSV")
     common(pl)
@@ -194,8 +193,6 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def _cmd_cohomology(args) -> tuple[int, str]:
-    if args.backend != "exact":
-        raise ConfigError("cohomology requires the exact backend")
     table = betti_table(load_algebra(args.algebra), args.max_degree)
     if args.format == "machine":
         doc = {

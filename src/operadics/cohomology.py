@@ -49,14 +49,8 @@ from .errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from .multiop import ENDO, EXACT, SIZE_CAP, MultiOp, _coefficients, is_zero, zero_op
+from .multiop import ENDO, EXACT, WORK_CAP, MultiOp, _checked_size, _coefficients, is_zero, zero_op
 from .scalars import exact_scalar, fields, op_values, positive_int, read_json, sign_pow
-
-# Hard cap on the insertions of mu in one Betti table, the sum over degrees
-# of columns * (n + 2).  This is the total of the largest table SIZE_CAP
-# admits for dim >= 2 (dim 2 to n = 14); it bounds dim 1, where SIZE_CAP
-# never trips.
-WORK_CAP = 983040
 
 
 @dataclass(frozen=True)
@@ -161,9 +155,7 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
             "well defined but its cohomology is not",
             stacklevel=2,
         )
-    rows = spec.dim ** (n + 2)
-    if rows > SIZE_CAP:
-        raise SizeCapError(f"coboundary target needs {rows} coefficients")
+    _checked_size(spec.dim, n + 1, ENDO)  # the target, degree n + 1
     return _coboundary(spec.mu.coeffs.tolist(), spec.dim, n)
 
 
@@ -385,17 +377,15 @@ def _require_associative(spec: AlgebraSpec):
 
 
 def _check_table_size(dim: int, n_max: int):
-    """Bound a Betti table's largest matrix and its total insertions.
+    """Bound a Betti table before any matrix is built: its largest target,
+    of degree n_max + 1, by the size rule, and its insertions by WORK_CAP.
 
     Each of the dim**(n+1) columns of degree n takes n + 2 insertions of mu.
     The sum is checked with an early exit, so a huge n_max costs nothing.
     """
+    _checked_size(dim, n_max + 1, ENDO)
     work = 0
     for n in range(n_max + 1):
-        if dim ** (n + 2) > SIZE_CAP:
-            raise SizeCapError(
-                f"dim {dim} with n_max {n_max} exceeds the coefficient cap"
-            )
         work += dim ** (n + 1) * (n + 2)
         if work > WORK_CAP:
             raise SizeCapError(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import reprlib
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -76,6 +77,13 @@ FLOAT = "float"
 
 # Hard cap on coefficient storage: d**(degree+1) entries.
 SIZE_CAP = 65536
+
+# Hard cap on insertions: terms * operands for one brace, and for one Betti
+# table the sum over degrees of columns * (n + 2).  It is the work of the
+# largest table SIZE_CAP admits (dim 2 to n = 14); a brace within SIZE_CAP at
+# dim >= 2 makes at most 15 * C(14, 7) = 51480, so it binds at dim 1, where
+# SIZE_CAP never trips.
+WORK_CAP = 983040
 
 # Largest stack of terms (gathered operands, products, signed terms) that
 # one chunk of a sum builds, in coefficients.
@@ -119,19 +127,26 @@ def _coefficients(values: list):
     return np.array(values, dtype=object), None
 
 
-def _checked_size(dim: int, degree: int, variance: str) -> int:
-    """The coefficient count dim**(degree+1) of a valid shape within SIZE_CAP."""
+def _checked_size(dim: int, degree: int, variance: str, what: str = "") -> int:
+    """The coefficient count dim**(degree+1) of a valid shape within SIZE_CAP:
+    the one size rule, for every op and every stage of a plan.  A shape named
+    what (by default its dim and degree) that is surely over the cap is
+    refused before the power is computed, so each message is one short line."""
     if variance not in VARIANCES:
         raise VarianceMismatchError(f"unknown variance {variance!r}")
     if dim < 1:
         raise ShapeMismatchError(f"dim must be >= 1, got {dim}")
     if degree < 0:
         raise ShapeMismatchError(f"degree must be >= 0, got {degree}")
+    # at dim >= 2 the count is at least 2**(degree + 1), so a degree over twice
+    # the cap's bits is surely over it; below that the count is short and named
+    if dim > SIZE_CAP or degree >= SIZE_CAP or (dim > 1 and degree > 2 * SIZE_CAP.bit_length()):
+        what = what or f"dim {reprlib.repr(dim)} degree {reprlib.repr(degree)}"
+        raise SizeCapError(f"{what} is over the size cap of {SIZE_CAP} coefficients")
     size = dim ** (degree + 1)
     if size > SIZE_CAP:
-        raise SizeCapError(
-            f"dim {dim} degree {degree} needs {size} coefficients, cap is {SIZE_CAP}"
-        )
+        what = what or f"dim {dim} degree {degree}"
+        raise SizeCapError(f"{what} needs {size} coefficients, cap is {SIZE_CAP}")
     return size
 
 
@@ -357,7 +372,8 @@ def _terms(h: MultiOp, gs, sign: int = 1, slots: tuple = ()):
 
     The operands are checked, and the errors of inserting them one slot at a
     time raised, before any plan is built: the errors of the zero op for a
-    sum without terms, else SizeCapError for the first stage over SIZE_CAP.
+    sum without terms, else SizeCapError for a sum over WORK_CAP or for the
+    first stage over SIZE_CAP.
     """
     for outer, inner in zip((h, *gs), gs):
         _check_pair(outer, inner)
@@ -430,20 +446,19 @@ def _on_object_path():
 def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
     """The plan of a signature with deg_h >= len(degs), or of its one term at
     the given original slots of h, or, when its stacks or its indices are too
-    large to keep, the number of terms per chunk."""
+    large to keep, the number of terms per chunk.  Insertions over WORK_CAP
+    and stages over SIZE_CAP are refused before any plan is built."""
+    k = len(degs)
+    count = 1 if slots else math.comb(deg_h, k)
+    if count * k > WORK_CAP:
+        raise SizeCapError(f"{k} operands into degree {deg_h} need over {WORK_CAP} insertions")
     degree, sizes = deg_h, [d ** (deg_h + 1)]
     for n in degs:
-        size = d ** (degree + n)
-        if size > SIZE_CAP:
-            raise SizeCapError(
-                f"composition result needs {size} coefficients, cap is {SIZE_CAP}"
-            )
-        sizes.append(size)
         degree += n - 1
-    count = 1 if slots else math.comb(deg_h, len(degs))
+        sizes.append(_checked_size(d, degree, ENDO, "composition result"))
     per_chunk = max(1, _STACK_ENTRIES // (2 * max(sizes)))
     if count <= per_chunk and count * sum(sizes) <= _CACHED_ENTRIES:
-        rows = [slots] if slots else list(combinations(range(deg_h), len(degs)))
+        rows = [slots] if slots else list(combinations(range(deg_h), k))
         return _plan(d, deg_h, degs, sign, rows)
     return per_chunk
 

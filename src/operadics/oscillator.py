@@ -96,16 +96,6 @@ def resolve_l_init(params: OscillatorParams) -> MultiOp:
     return classical_lax(params.q0, params.p0, params.omega)
 
 
-def exact_flow(params: OscillatorParams, t: float) -> tuple[float, float]:
-    """Closed-form trajectory (q(t), p(t)) of the canonical equations."""
-    w = params.omega
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    q = params.q0 * c + (params.p0 / w) * s
-    p = params.p0 * c - w * params.q0 * s
-    return (q, p)
-
-
 def transport_solution(params: OscillatorParams, t: float) -> MultiOp:
     """The degree-n solution at time t: conjugation transport of l_init."""
     return conjugation_oracle(m_matrix(params.omega), resolve_l_init(params), t)

@@ -21,8 +21,8 @@ import reprlib
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
-from .multiop import SIZE_CAP
+from .errors import ParseError, SizeCapError
+from .multiop import ENDO, SIZE_CAP, _checked_size
 
 
 def sign_pow(exponent: int) -> int:
@@ -92,11 +92,12 @@ def positive_int(value, what: str) -> int:
 
 def op_values(raw, dim: int, degree: int, what: str, scalar) -> list:
     """The dim**(degree + 1) coefficients of an operation listed in raw, each
-    read by scalar(value, what).  The count is bounded by SIZE_CAP before it
-    is computed or printed."""
-    if dim > SIZE_CAP or degree >= SIZE_CAP or dim ** (degree + 1) > SIZE_CAP:
-        raise ParseError(f"{what} needs more than {SIZE_CAP} coefficients")
-    size = dim ** (degree + 1)
+    read by scalar(value, what).  The count is bounded by multiop's size rule
+    before it is computed or printed."""
+    try:
+        size = _checked_size(dim, degree, ENDO)
+    except SizeCapError:
+        raise ParseError(f"{what} needs more than {SIZE_CAP} coefficients") from None
     if not isinstance(raw, list) or len(raw) != size:
         raise ParseError(f"{what} must list {size} coefficients")
     return [scalar(value, what) for value in raw]

@@ -1,9 +1,21 @@
 """Closed-form oracles shared by the oscillator and acceptance tests."""
 
+import math
+
 import numpy as np
 
 from operadics.multiop import ENDO, MultiOp
-from operadics.oscillator import OscillatorParams, exact_flow
+from operadics.oscillator import OscillatorParams
+
+
+def exact_flow(params: OscillatorParams, t: float) -> tuple[float, float]:
+    """Closed-form trajectory (q(t), p(t)) of the canonical equations."""
+    w = params.omega
+    c = math.cos(w * t)
+    s = math.sin(w * t)
+    q = params.q0 * c + (params.p0 / w) * s
+    p = params.p0 * c - w * params.q0 * s
+    return (q, p)
 
 
 def classical_lax_time_derivative(params: OscillatorParams, t: float) -> MultiOp:

@@ -44,7 +44,6 @@ from operadics.multiop import (
 from operadics.oscillator import (
     OscillatorParams,
     classical_lax,
-    exact_flow,
     hamiltonian,
     m_matrix,
     oscillator_system,
@@ -53,7 +52,7 @@ from operadics.oscillator import (
 from operadics.scalars import sign_pow
 from operadics.verify import SuiteConfig, run_suite
 
-from oracles import classical_lax_time_derivative
+from oracles import classical_lax_time_derivative, exact_flow
 
 
 def _run(name, **overrides):

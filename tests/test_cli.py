@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -129,6 +130,28 @@ def test_verify_over_the_size_cap_names_the_coefficient_count():
     r = run_cli("verify", "--dim", "300")
     assert_one_line_error(r, 2)
     assert r.stderr == "error: dim 300 degree 1 needs 90000 coefficients, cap is 65536\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--max-degree", "100000000"),
+        ("--max-degree", str(10**21)),
+        ("--dim", "1", "--max-degree", "2000"),
+        ("--dim", str(10**1500)),
+        ("--max-degree", "5000"),
+    ],
+    ids=["degree-1e8", "degree-1e21", "dim-1-degree-2000", "dim-1e1500", "degree-5000"],
+)
+def test_huge_verify_shapes_are_one_short_size_error(args):
+    # every drawn shape and brace is refused before its count is computed or
+    # printed, or its plan built; the address-space limit and the timeout
+    # bound a missing check (a power that grows, a brace of 2M terms)
+    r = run_cli_in_1gib("verify", *args, "--cases", "1", timeout=30)
+    assert_one_line_error(r, 2)
+    assert len(r.stderr.encode()) < 300, r.stderr[:300]
+    # a huge dim or degree is cut as reprlib cuts it; no count is printed whole
+    assert not re.search(r"\d{41}", r.stderr), r.stderr[:300]
 
 
 def test_verify_rejects_bad_config():
@@ -442,14 +465,14 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_cli_in_1gib(*args):
+def run_cli_in_1gib(*args, timeout=120):
     """run_cli under a 1 GiB address-space limit and one BLAS thread, whose
     buffers would otherwise count against the limit."""
     return subprocess.run(
         [sys.executable, "-m", "operadics.cli", *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=_limit_address_space,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )

@@ -16,6 +16,7 @@ column against the brace-kernel coboundary of its lift to a full cochain.
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -30,7 +31,6 @@ from operadics import cohomology
 from operadics.bundled import bundled_path
 from operadics.coboundary import coboundary
 from operadics.cohomology import (
-    WORK_CAP,
     AlgebraSpec,
     algebra_from_json,
     betti_table,
@@ -52,7 +52,7 @@ from operadics.errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from operadics.multiop import ENDO, MultiOp, is_zero, partial_compose, zero_op
+from operadics.multiop import ENDO, WORK_CAP, MultiOp, is_zero, partial_compose, zero_op
 from operadics.scalars import format_exact, parse_exact
 
 
@@ -591,14 +591,20 @@ def test_associator_is_computed_once_per_spec(monkeypatch):
 def test_work_cap_bounds_dim_one_and_admits_every_size_capped_table():
     # the largest table the coefficient cap admits, dim 2 to degree 14
     assert sum(2 ** (n + 1) * (n + 2) for n in range(15)) == WORK_CAP
+    # the largest brace it admits at dim >= 2: k operands into degree 15 at
+    # dim 2, in C(15, k) terms of k insertions
+    assert max(k * math.comb(15, k) for k in range(16)) == 15 * math.comb(14, 7) == 51480
+    assert 51480 <= WORK_CAP
     field = load_algebra(bundled_path("field.json"))
     # dim 1 to degree n_max makes (n_max + 1) * (n_max + 4) / 2 insertions
     assert 1400 * 1403 // 2 <= WORK_CAP < 1401 * 1404 // 2
-    for n_max in (1400, 10**9, 10**18):
-        with pytest.raises(SizeCapError, match="insertions"):
-            betti_table(field, n_max)
-    with pytest.raises(SizeCapError, match="coefficient cap"):
-        betti_table(load_algebra(bundled_path("dual_numbers.json")), 10**18)
+    with pytest.raises(SizeCapError, match="insertions"):
+        betti_table(field, 1400)
+    # a target degree of SIZE_CAP or more is refused by the size rule first
+    for spec in (field, load_algebra(bundled_path("dual_numbers.json"))):
+        for n_max in (10**9, 10**18):
+            with pytest.raises(SizeCapError, match="is over the size cap"):
+                betti_table(spec, n_max)
 
 
 def test_image_sits_inside_kernel():

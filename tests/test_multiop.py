@@ -5,7 +5,11 @@ loops over index tuples, so it shares no code path with the matmul kernel
 it is checking.
 """
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -37,6 +41,7 @@ from operadics.multiop import (
     ENDO,
     EXACT,
     FLOAT,
+    SIZE_CAP,
     MultiOp,
     add,
     allclose,
@@ -693,6 +698,69 @@ def test_size_cap_enforced():
         zero_op(2, 16)
     with pytest.raises(SizeCapError):
         partial_compose(zero_op(2, 15), zero_op(2, 2), 0)
+
+
+def test_a_degree_of_the_size_cap_is_refused_at_every_dim():
+    # dim 1 holds one coefficient in every degree; the rule input files
+    # follow holds for every shape
+    assert zero_op(1, SIZE_CAP - 1).coeffs.tolist() == [0]
+    for make in (lambda n: zero_op(1, n), lambda n: MultiOp(1, n, ENDO, [1])):
+        with pytest.raises(SizeCapError, match="dim 1 degree 65536 is over the size cap"):
+            make(SIZE_CAP)
+    # a composition at dim 1 may not reach that degree either
+    g = zero_op(1, SIZE_CAP // 2 + 1)
+    with pytest.raises(SizeCapError, match="composition result is over the size cap"):
+        partial_compose(g, g, 0)
+
+
+# Each call runs in a child under a 1 GiB address-space limit: without the
+# checks, the power of a huge degree grows until memory runs out, and the
+# dim-1 tribrace builds plans for about 2M terms.
+_REFUSED_AT_ONCE = """
+import sys, time
+from operadics.braces import tribrace
+from operadics.bundled import bundled_path
+from operadics.cohomology import coboundary_matrix, cocycle_basis, load_algebra
+from operadics.errors import SizeCapError
+from operadics.multiop import ENDO, MultiOp, zero_op
+dual = load_algebra(bundled_path("dual_numbers.json"))
+one = MultiOp(1, 1, ENDO, [1])
+start = time.perf_counter()
+try:
+    eval(sys.argv[1])
+except SizeCapError:
+    print(time.perf_counter() - start)
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "zero_op(2, 10**9)",
+        "zero_op(2, 10**30)",
+        "MultiOp(2, 10**30, ENDO, [])",
+        "coboundary_matrix(dual, 10**8)",
+        "coboundary_matrix(dual, 10**30)",
+        "cocycle_basis(dual, 10**30)",
+        # C(2000, 2) terms of 2 insertions, about 4.0M
+        "tribrace(zero_op(1, 2000), one, one)",
+    ],
+)
+def test_huge_shapes_and_braces_are_size_errors_at_once(call):
+    r = subprocess.run(
+        [sys.executable, "-c", _REFUSED_AT_ONCE, call],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert r.returncode == 0 and r.stdout, r.stderr[-300:]
+    assert float(r.stdout) < 1.0
 
 
 # --- evaluation ---------------------------------------------------------

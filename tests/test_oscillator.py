@@ -30,7 +30,6 @@ from operadics.oscillator import (
     OscillatorParams,
     canonical_flow,
     classical_lax,
-    exact_flow,
     hamiltonian,
     m_matrix,
     monodromy_report,
@@ -39,7 +38,7 @@ from operadics.oscillator import (
     transport_solution,
 )
 
-from oracles import classical_lax_time_derivative
+from oracles import classical_lax_time_derivative, exact_flow
 
 STANDARD = OscillatorParams(omega=2.0, q0=1.0, p0=0.0)
 
