@@ -3,7 +3,7 @@
 Given exact structure constants for a degree-2 multiplication mu on a
 d-dimensional module, the coboundary f -> [f, mu] restricts to a linear map
 from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
-This module builds those matrices on the elementary basis as sparse columns,
+This module builds those matrices on the elementary basis as sparse rows,
 by index arithmetic on the structure constants of mu.  One integer
 Gauss-Jordan elimination on sparse rows gives exact ranks and the reduced
 echelon form that preimages and kernels read: each pivot updates only the
@@ -91,26 +91,22 @@ class AlgebraSpec:
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """The coboundary C^n -> C^(n+1) on the elementary basis, by columns.
+    """The coboundary C^n -> C^(n+1) on the elementary basis, by rows.
 
-    columns[c] holds the pairs (r, value), by ascending r, of the nonzero
-    coefficients of basis element r of the target in the coboundary of basis
-    element c of the source.
+    sparse_rows[r] maps each column c, ascending, to the nonzero coefficient
+    of basis element r of the target in the coboundary of basis element c of
+    the source: the form that elimination reads.
     """
 
     n: int
     rows: int
     cols: int
-    columns: tuple
+    sparse_rows: tuple[dict, ...]
 
     @property
     def entries(self) -> tuple:
         """Dense view: entries[r][c] is the coefficient at row r, column c."""
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for c, column in enumerate(self.columns):
-            for r, value in column:
-                dense[r][c] = value
-        return tuple(map(tuple, dense))
+        return tuple(tuple(row.get(c, 0) for c in range(self.cols)) for row in self.sparse_rows)
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def _algebra(doc) -> AlgebraSpec:
 def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
     """Matrix of the coboundary on degree-n operations, exact entries."""
     if n < 0:
-        raise DegreeMismatchError(f"cochain degree must be >= 0, got {n}")
+        raise DegreeMismatchError(f"cochain degree must be >= 0, got {reprlib.repr(n)}")
     if spec.mu.backend != EXACT:
         raise BackendMismatchError("exact entries expected")
     if not spec.is_associative():
@@ -197,17 +193,18 @@ def _coboundary(mu: list, d: int, n: int, unit=None) -> CoboundaryMatrix:
                 yz = at[y] * m + at[z]
                 # an output e_k that feeds an input enters as its rewrite
                 for j, r in rewrite if x == k else ((x, 1),):
-                    out = by_out[at[j]]
-                    out[yz] = out.get(yz, 0) + r * value
+                    table = by_out[at[j]]
+                    table[yz] = table.get(yz, 0) + r * value
             if z != k:
                 by_left[y].append((x, at[z], value))
             if y != k:
                 by_right[z].append((x * m + at[y], value))
-    by_out = [list(out.items()) for out in by_out]
+    by_out = [list(table.items()) for table in by_out]
     s = sign_pow(n - 1)
-    columns = []
+    # column c of the coboundary is d e_c; columns go in ascending order, so
+    # each row receives its columns ascending
+    out = [{} for _ in range(rows)]
     for c in range(cols):
-        column: dict[int, object] = {}
         for i in range(n):
             # e_c o_i mu puts the inputs y z of mu in place of b_i
             w = m ** (n - 1 - i)
@@ -215,17 +212,17 @@ def _coboundary(mu: list, d: int, n: int, unit=None) -> CoboundaryMatrix:
             b_i, tail = divmod(rest, w)
             base = head * w * m * m + tail
             for yz, value in by_out[b_i]:
-                r = base + yz * w
-                column[r] = column.get(r, 0) + sign_pow(i) * value
+                row = out[base + yz * w]
+                row[c] = row.get(c, 0) + sign_pow(i) * value
         a, b = divmod(c, m**n)
         for x, z, value in by_left[a]:  # mu o_0 e_c: rows (x, b, z)
-            r = (x * m**n + b) * m + z
-            column[r] = column.get(r, 0) - s * value
+            row = out[(x * m**n + b) * m + z]
+            row[c] = row.get(c, 0) - s * value
         for xy, value in by_right[a]:  # mu o_1 e_c: rows (x, y, b)
-            r = xy * m**n + b
-            column[r] = column.get(r, 0) - value
-        columns.append(tuple(sorted((r, v) for r, v in column.items() if v)))
-    return CoboundaryMatrix(n=n, rows=rows, cols=cols, columns=tuple(columns))
+            row = out[xy * m**n + b]
+            row[c] = row.get(c, 0) - value
+    sparse_rows = tuple({c: v for c, v in row.items() if v} for row in out)
+    return CoboundaryMatrix(n=n, rows=rows, cols=cols, sparse_rows=sparse_rows)
 
 
 def _exact(values) -> list:
@@ -247,23 +244,19 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
 
     Row r maps each column of a nonzero entry to that entry, with rhs[r], if
     nonzero, as column ncols; each row is scaled by the lcm of its
-    denominators.
+    denominators.  The rows are new: a CoboundaryMatrix is never changed.
     """
     if isinstance(matrix, CoboundaryMatrix):
-        ncols = matrix.cols
-        rows = [{} for _ in range(matrix.rows)]
-        for c, column in enumerate(matrix.columns):
-            for r, value in column:
-                rows[r][c] = value
+        ncols, rows = matrix.cols, list(matrix.sparse_rows)
     else:
         dense = [_exact(row) for row in matrix]
         ncols = len(dense[0]) if dense else 0
         if any(len(row) != ncols for row in dense):
             raise ShapeMismatchError(f"dense rows of unequal length, first has {ncols}")
         rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
-    for row, value in zip(rows, rhs):
+    for r, value in zip(range(len(rows)), rhs):
         if value:
-            row[ncols] = value
+            rows[r] = {**rows[r], ncols: value}
     return [_integral(row) for row in rows], ncols
 
 
@@ -400,7 +393,7 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
     if n_max is None:
         n_max = default_n_max(spec.dim)
     if n_max < 0:
-        raise DegreeMismatchError(f"n_max must be >= 0, got {n_max}")
+        raise DegreeMismatchError(f"n_max must be >= 0, got {reprlib.repr(n_max)}")
     _check_table_size(spec.dim, n_max)
     d, mu = spec.dim, spec.mu.coeffs.tolist()
     dims = []

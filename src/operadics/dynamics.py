@@ -289,9 +289,7 @@ def integrate(system: LaxSystem) -> Trajectory:
     dt, steps = system.dt, system.steps
     # overflow surfaces as a NonFiniteError, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols, vals, width = _rhs_triplets(
-            _as_float(system.m), system.l0.degree, system.state_matrix
-        )
+        rows, cols, vals, width = _rhs_triplets(system.m, system.l0.degree, system.state_matrix)
         vals *= dt
         # innermost factor first: hA/4, hA/3, hA/2, hA
         weights = (vals / 4.0, vals / 3.0, vals / 2.0, vals)

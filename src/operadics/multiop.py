@@ -135,9 +135,9 @@ def _checked_size(dim: int, degree: int, variance: str, what: str = "") -> int:
     if variance not in VARIANCES:
         raise VarianceMismatchError(f"unknown variance {variance!r}")
     if dim < 1:
-        raise ShapeMismatchError(f"dim must be >= 1, got {dim}")
+        raise ShapeMismatchError(f"dim must be >= 1, got {reprlib.repr(dim)}")
     if degree < 0:
-        raise ShapeMismatchError(f"degree must be >= 0, got {degree}")
+        raise ShapeMismatchError(f"degree must be >= 0, got {reprlib.repr(degree)}")
     # at dim >= 2 the count is at least 2**(degree + 1), so a degree over twice
     # the cap's bits is surely over it; below that the count is short and named
     if dim > SIZE_CAP or degree >= SIZE_CAP or (dim > 1 and degree > 2 * SIZE_CAP.bit_length()):

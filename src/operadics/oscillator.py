@@ -18,6 +18,7 @@ anti-periodic.  That obstruction is reported, never hidden.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class OscillatorParams:
         if not self.omega > 0:
             raise ConfigError(f"omega must be positive, got {self.omega}")
         if self.degree < 1:
-            raise ConfigError(f"degree must be >= 1, got {self.degree}")
+            raise ConfigError(f"degree must be >= 1, got {reprlib.repr(self.degree)}")
         if self.l_init is None:
             if self.degree >= 2:
                 raise ConfigError(

@@ -20,6 +20,7 @@ can fail.
 from __future__ import annotations
 
 import random
+import reprlib
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -78,11 +79,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+            raise ConfigError(f"dim must be >= 1, got {reprlib.repr(self.dim)}")
         if self.max_degree < 1:
-            raise ConfigError(f"max_degree must be >= 1, got {self.max_degree}")
+            raise ConfigError(f"max_degree must be >= 1, got {reprlib.repr(self.max_degree)}")
         if self.cases < 0:
-            raise ConfigError(f"cases must be >= 0, got {self.cases}")
+            raise ConfigError(f"cases must be >= 0, got {reprlib.repr(self.cases)}")
         if self.backend not in (EXACT, FLOAT):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if not self.tol >= 0:
@@ -156,10 +157,9 @@ def _rand(rng, cfg: SuiteConfig, degree: int, variance: str | None = None) -> Mu
     return random_op(rng, cfg.dim, degree, variance or cfg.variance, cfg.backend)
 
 
-def _degrees(rng, cfg: SuiteConfig, count: int, lo: int = 0, min_sum: int = 0):
-    hi = max(cfg.max_degree, lo)
+def _degrees(rng, cfg: SuiteConfig, count: int, min_sum: int = 0):
     while True:
-        degs = [rng.randint(lo, hi) for _ in range(count)]
+        degs = [rng.randint(0, cfg.max_degree) for _ in range(count)]
         if sum(degs) >= min_sum:
             return degs
 

@@ -84,6 +84,17 @@ def test_verify_text_runs_and_is_deterministic():
     assert "result: 21/21 suites passed" in r.stdout
 
 
+def test_verify_zero_cases_warns_and_marks_every_suite_vacuous():
+    r = run_cli("verify", "--cases", "0")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[1] == "warning: 0 cases requested; every suite passes vacuously"
+    suites = lines[2:-1]
+    assert len(suites) == 21
+    assert all(line.endswith(" 0 cases  pass (vacuous: 0 cases requested)") for line in suites)
+    assert lines[-1] == "result: 21/21 suites passed"
+
+
 def test_verify_machine_output_is_json():
     r = run_twice("verify", "--cases", "3", "--format", "machine")
     assert r.returncode == 0
@@ -152,6 +163,24 @@ def test_huge_verify_shapes_are_one_short_size_error(args):
     assert len(r.stderr.encode()) < 300, r.stderr[:300]
     # a huge dim or degree is cut as reprlib cuts it; no count is printed whole
     assert not re.search(r"\d{41}", r.stderr), r.stderr[:300]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--dim"),
+        ("verify", "--cases"),
+        ("verify", "--max-degree"),
+        ("cohomology", "--algebra", str(bundled_path("dual_numbers.json")), "--max-degree"),
+        ("oscillator", "--degree"),
+    ],
+    ids=["verify-dim", "verify-cases", "verify-max-degree", "cohomology", "oscillator"],
+)
+def test_huge_negative_flag_is_one_short_error(args):
+    # the value is cut as reprlib cuts it, not printed in its 1501 digits
+    r = run_cli(*args, str(-(10**1500)))
+    assert_one_line_error(r, 2)
+    assert len(r.stderr.encode()) < 300, r.stderr[:300]
 
 
 def test_verify_rejects_bad_config():
@@ -745,6 +774,12 @@ def test_oscillator_rejects_bad_omega():
     assert run_cli("oscillator", "--omega", "0").returncode == 2
 
 
+def test_oscillator_rejects_degree_zero():
+    r = run_cli("oscillator", "--degree", "0")
+    assert_one_line_error(r, 2)
+    assert r.stderr == "error: degree must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "flag", ["--q0=nan", "--q0=inf", "--p0=-inf", "--omega=inf", "--omega=nan"]
 )
@@ -772,6 +807,34 @@ def test_unparsable_file_is_a_parse_error(tmp_path, args, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
     assert_one_line_error(run_cli(*args, str(path)), 4)
+
+
+@pytest.mark.parametrize(
+    "args, doc, message",
+    [
+        (("cohomology", "--algebra"), [1, 2], "algebra file must be a JSON object"),
+        (
+            ("cohomology", "--algebra"),
+            {"name": "x", "dim": 1, "mu": [1.5]},
+            "'mu': exact scalar expected, got 1.5",
+        ),
+        (
+            ("cohomology", "--algebra"),
+            {"name": "x", "dim": 1, "mu": [None]},
+            "'mu': exact scalar expected, got None",
+        ),
+        (("lax", "--system"), _lax_doc(dt=0.0), "'dt' must be a positive number"),
+        (("lax", "--system"), _lax_doc(dt=0.5, t_end=0.25), "'t_end' must be a number >= dt"),
+        (("lax", "--system"), _lax_doc(observe="norm"), "'observe' must be a list"),
+    ],
+    ids=["algebra-not-object", "mu-float", "mu-null", "dt-zero", "t-end-below-dt", "observe-str"],
+)
+def test_malformed_input_file_exits_four(tmp_path, args, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(*args, str(path))
+    assert_one_line_error(r, 4)
+    assert message in r.stderr
 
 
 def test_huge_scalar_exponent_is_a_parse_error(tmp_path):

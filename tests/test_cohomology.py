@@ -405,6 +405,21 @@ def test_block_solvers_on_coboundary_matrices():
             check_solvers_on_matrix(matrix, rng)
 
 
+def test_solvers_leave_the_sparse_rows_of_a_matrix_unchanged():
+    # rank, solve and kernel eliminate new rows: the matrix's own rows keep
+    # their entries and their column order, also where a right-hand side
+    # entry joins a row
+    spec = load_algebra(bundled_path("mat2.json"))
+    mat = coboundary_matrix(spec, 2)
+    target = coboundary(spec.mu, basis_op(spec.dim, 2, 5)).coeffs.tolist()
+    assert any(target)
+    before = [list(row.items()) for row in mat.sparse_rows]
+    assert exact_rank(mat) > 0
+    assert solve_linear(mat, target) is not None
+    assert nullspace(mat)
+    assert [list(row.items()) for row in mat.sparse_rows] == before
+
+
 # --- algebra files --------------------------------------------------------
 
 
@@ -489,8 +504,24 @@ def test_matrix_columns_are_coboundaries_of_basis_ops():
                 mat = coboundary_matrix(spec, n)
             for col in range(mat.cols):
                 image = coboundary(spec.mu, basis_op(spec.dim, n, col)).coeffs
-                want = tuple((r, v) for r, v in enumerate(image.tolist()) if v)
-                assert mat.columns[col] == want, (spec.name, n, col)
+                want = [(r, v) for r, v in enumerate(image.tolist()) if v]
+                got = [(r, row[col]) for r, row in enumerate(mat.sparse_rows) if col in row]
+                assert got == want, (spec.name, n, col)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zero_op(-(10**1500), 1),
+        lambda: zero_op(2, -(10**1500)),
+        lambda: coboundary_matrix(load_algebra(bundled_path("dual_numbers.json")), -(10**1500)),
+    ],
+    ids=["op-dim", "op-degree", "matrix-degree"],
+)
+def test_huge_negative_shape_is_one_short_message(call):
+    with pytest.raises((ShapeMismatchError, DegreeMismatchError)) as info:
+        call()
+    assert len(str(info.value)) < 300, str(info.value)[:300]
 
 
 def test_nonassociative_matrix_warns_but_computes():
@@ -873,7 +904,8 @@ def test_normalized_matrix_equals_the_brace_kernel_on_lifted_cochains():
             matrix = cohomology._coboundary(mu, d, n, spec.unit)
             assert matrix.cols == d * (d - 1) ** n
             assert matrix.rows == d * (d - 1) ** (n + 1)
-            for c, column in enumerate(matrix.columns):
+            for c in range(matrix.cols):
+                column = [(r, row[c]) for r, row in enumerate(matrix.sparse_rows) if c in row]
                 f = lift(spec, projection, k, n, [(c, 1)])
                 want = lift(spec, projection, k, n + 1, column)
                 assert coboundary(spec.mu, f) == want, (spec.name, n, c)

@@ -34,11 +34,14 @@ from operadics.bundled import bundled_path
 from operadics.errors import (
     ConfigError,
     DegreeMismatchError,
+    DimMismatchError,
     NonFiniteError,
     ParseError,
     ShapeMismatchError,
+    VarianceMismatchError,
 )
 from operadics.multiop import (
+    COENDO,
     ENDO,
     FLOAT,
     MultiOp,
@@ -327,6 +330,23 @@ def test_oracle_group_property():
     assert max_abs_diff(twice, conjugation_oracle(m, l0, 1.2)) < 1e-12
 
 
+def test_oracle_reads_an_exact_l0_as_floats():
+    m = _rotation_m()
+    exact = MultiOp(2, 2, ENDO, [3, -1, 0, 2, 1, 0, -2, 5])
+    floats = _float_op(2, 2, [3, -1, 0, 2, 1, 0, -2, 5])
+    assert conjugation_oracle(m, exact, 0.7) == conjugation_oracle(m, floats, 0.7)
+
+
+def test_oracle_errors():
+    l0 = _float_op(2, 1, [1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(DegreeMismatchError, match="needs a degree-1 M"):
+        conjugation_oracle(_float_op(2, 2, [0.0] * 8), l0, 1.0)
+    # exp(800) overflows; numpy's own overflow warnings are not under test
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="conjugation oracle"):
+            conjugation_oracle(_float_op(2, 1, [800.0, 0.0, 0.0, 0.0]), l0, 1.0)
+
+
 # --- integration -------------------------------------------------------------
 
 
@@ -474,6 +494,13 @@ def test_lax_system_validation():
         LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0, observe=("bogus",))
     with pytest.raises(DegreeMismatchError):
         LaxSystem(m=_float_op(2, 2, [0.0] * 8), l0=l0, dt=0.1, t_end=1.0)
+    with pytest.raises(DegreeMismatchError, match="L0 must have degree >= 1"):
+        LaxSystem(m=m, l0=_float_op(2, 0, [1.0, 0.0]), dt=0.1, t_end=1.0)
+    with pytest.raises(DimMismatchError, match="dim 2 vs 3"):
+        LaxSystem(m=m, l0=_float_op(3, 1, [0.0] * 9), dt=0.1, t_end=1.0)
+    coendo = MultiOp(2, 1, COENDO, np.array([1.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(VarianceMismatchError):
+        LaxSystem(m=m, l0=coendo, dt=0.1, t_end=1.0)
     with pytest.raises(DegreeMismatchError):
         LaxSystem(m=m, l0=l0, dt=0.1, t_end=1.0, observe=("assoc_defect",))
     with pytest.raises(ConfigError):
@@ -514,6 +541,11 @@ def test_bundled_lax_files_load(tmp_path):
         lambda d: d["L0"].__setitem__("coeffs", [1.0]),
         lambda d: d.__setitem__("observe", ["bogus"]),
         lambda d: d.__setitem__("M", [0.0, True, 1.0, 0.0]),
+        lambda d: d.__setitem__("dt", 0.0),
+        lambda d: d.__setitem__("dt", -0.1),
+        lambda d: d.__setitem__("t_end", d["dt"] / 2),
+        lambda d: d.__setitem__("observe", "norm"),
+        lambda d: d.__setitem__("observe", ["norm", 1]),
     ],
 )
 def test_malformed_lax_documents_raise(tmp_path, mutate):

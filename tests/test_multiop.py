@@ -29,6 +29,7 @@ from operadics.cohomology import (
 from operadics.errors import (
     ArityMismatchError,
     BackendMismatchError,
+    DegreeMismatchError,
     DimMismatchError,
     ParseError,
     ShapeMismatchError,
@@ -184,6 +185,8 @@ def test_non_scalar_coefficients_are_a_shape_mismatch():
         with pytest.raises(ShapeMismatchError, match=f"type {type(value).__name__}:") as info:
             MultiOp(1, 1, ENDO, [value])
         assert len(str(info.value).splitlines()) == 1
+    with pytest.raises(ShapeMismatchError, match="unsupported coefficient dtype complex128"):
+        MultiOp(1, 1, ENDO, np.array([1j]))
     # a numpy float is a float, as in a float32 array
     single = MultiOp(1, 1, ENDO, [np.float32(1.5)])
     assert single.backend == FLOAT
@@ -214,6 +217,17 @@ def test_equality_includes_backend_and_variance():
     assert a != b
     assert a != c
     assert a == MultiOp(1, 1, ENDO, np.array([1], dtype=np.int64))
+    # a non-op is never equal, not an error
+    assert (a == 1) is False and a != 1
+
+
+def test_repr_names_the_shape_and_summarizes_the_coefficients():
+    assert repr(MultiOp(2, 1, ENDO, [1, -5, 0, 2])) == (
+        "MultiOp(dim=2, degree=1, variance='endo', coeffs=[1 -5 0 2])"
+    )
+    assert repr(zero_op(2, 3, backend=FLOAT)) == (
+        "MultiOp(dim=2, degree=3, variance='endo', coeffs=[0. 0. 0. ... 0. 0. 0.])"
+    )
 
 
 def test_coefficients_are_copied_and_frozen():
@@ -290,6 +304,24 @@ def test_mixing_backends_raises():
         partial_compose(f, g, 0)
     with pytest.raises(BackendMismatchError):
         scale(0.5, f)
+    with pytest.raises(BackendMismatchError):
+        scale(Fraction(1, 2), g)
+    with pytest.raises(BackendMismatchError, match="cannot mix float and Fraction"):
+        MultiOp(2, 0, ENDO, [1.5, Fraction(1, 2)])
+
+
+def test_shape_and_variance_errors():
+    with pytest.raises(VarianceMismatchError, match="unknown variance 'sideways'"):
+        zero_op(2, 1, "sideways")
+    with pytest.raises(ShapeMismatchError, match="dim must be >= 1, got 0"):
+        zero_op(0, 1)
+    with pytest.raises(ShapeMismatchError, match="degree must be >= 0, got -1"):
+        zero_op(2, -1)
+    with pytest.raises(DegreeMismatchError, match="degree 1 vs 2"):
+        add(zero_op(2, 1), zero_op(2, 2))
+    for other in (zero_op(2, 2), zero_op(3, 1), zero_op(2, 1, COENDO)):
+        with pytest.raises(ShapeMismatchError, match="operands are not comparable"):
+            max_abs_diff(zero_op(2, 1), other)
 
 
 def test_int64_addition_overflow_promotes_exactly():
@@ -691,6 +723,8 @@ def test_compose_error_conditions():
         partial_compose(f, k, 2)
     with pytest.raises(SlotOutOfRangeError):
         partial_compose(f, k, -1)
+    with pytest.raises(SlotOutOfRangeError, match="cannot compose into a degree-0"):
+        partial_compose(zero_op(2, 0), k, 0)
 
 
 def test_size_cap_enforced():
