@@ -69,6 +69,7 @@ from .errors import (
     DegreeMismatchError,
     DegreeUnderflowError,
     DimMismatchError,
+    MissingInitialOpError,
     NonFiniteError,
     NotAssociativeError,
     OperadError,
@@ -110,7 +111,7 @@ from .oscillator import (
     resolve_l_init,
     transport_solution,
 )
-from .scalars import format_exact, format_float, parse_exact, sign_pow
+from .scalars import format_float, parse_exact, sign_pow
 from .verify import (
     SuiteConfig,
     SuiteResult,

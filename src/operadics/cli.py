@@ -21,14 +21,14 @@ import functools
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from .cohomology import betti_table, load_algebra
 from .dynamics import integrate, load_initial_op, load_lax_system, require_finite
 from .errors import (
-    ConfigError,
+    MissingInitialOpError,
     NonFiniteError,
     NotAssociativeError,
     OperadError,
@@ -50,10 +50,6 @@ EXIT_NOT_ASSOCIATIVE = 3
 EXIT_PARSE = 4
 EXIT_NON_FINITE = 5
 EXIT_MISSING_INIT = 6
-
-
-class MissingInitialOpError(ConfigError):
-    """--degree >= 2 without --l-init: no canonical initial operation exists."""
 
 
 # Looked up along the exception's MRO, so the most specific class wins.
@@ -239,22 +235,11 @@ def _flow_report(args, system, traj, extra=(), keys=(), footer=()):
 
 
 def _cmd_lax(args) -> tuple[int, str | Iterator[str]]:
-    system = load_lax_system(args.system)
-    if args.dt is not None or args.t_end is not None:
-        system = replace(
-            system,
-            dt=args.dt if args.dt is not None else system.dt,
-            t_end=args.t_end if args.t_end is not None else system.t_end,
-        )
+    system = load_lax_system(args.system, args.dt, args.t_end)
     return _flow_report(args, system, integrate(system))
 
 
 def _cmd_oscillator(args) -> tuple[int, str | Iterator[str]]:
-    if args.degree >= 2 and args.l_init is None:
-        raise MissingInitialOpError(
-            "--degree >= 2 needs --l-init FILE (no canonical initial "
-            "operation exists)"
-        )
     l_init = None
     if args.l_init is not None:
         l_init = load_initial_op(args.l_init, 2)

@@ -122,10 +122,6 @@ class BettiTable:
     betti: tuple[int, ...]
 
 
-def algebra_from_json(text: str) -> AlgebraSpec:
-    return _algebra(read_json("algebra text", text))
-
-
 def load_algebra(path) -> AlgebraSpec:
     return _algebra(read_json(path))
 

@@ -409,22 +409,25 @@ def _op_from_doc(doc, dim: int, what: str) -> MultiOp:
     return MultiOp(dim, degree, ENDO, np.array(values, dtype=np.float64))
 
 
-def load_lax_system(path) -> LaxSystem:
+def load_lax_system(path, dt: float | None = None, t_end: float | None = None) -> LaxSystem:
     """Read a Lax run description from JSON.
 
     Expected shape: {"dim": d, "M": [d*d floats], "L0": {"degree", "coeffs"},
-    "dt": h, "t_end": T, "observe": [names]}.
+    "dt": h, "t_end": T, "observe": [names]}.  A dt or t_end given here
+    replaces the file's value, which is still read and checked first.
     """
     doc = read_json(path)
-    dim, m, l0, dt, t_end = fields(doc, "system file", "dim", "M", "L0", "dt", "t_end")
+    dim, m, l0, file_dt, file_t_end = fields(
+        doc, "system file", "dim", "M", "L0", "dt", "t_end"
+    )
     dim = positive_int(dim, "'dim'")
     m = MultiOp(dim, 1, ENDO, np.array(op_values(m, dim, 1, "'M'", finite)))
     l0 = _op_from_doc(l0, dim, "'L0'")
-    dt = finite(dt, "'dt'")
-    t_end = finite(t_end, "'t_end'")
-    if not dt > 0:
+    file_dt = finite(file_dt, "'dt'")
+    file_t_end = finite(file_t_end, "'t_end'")
+    if not file_dt > 0:
         raise ParseError("'dt' must be a positive number")
-    if t_end < dt:
+    if file_t_end < file_dt:
         raise ParseError("'t_end' must be a number >= dt")
     observe = doc.get("observe", [])
     if not isinstance(observe, list) or not all(isinstance(s, str) for s in observe):
@@ -432,4 +435,6 @@ def load_lax_system(path) -> LaxSystem:
     for name in observe:
         if name not in OBSERVER_NAMES:
             raise ParseError(f"unknown observer {reprlib.repr(name)} in system file")
+    dt = file_dt if dt is None else dt
+    t_end = file_t_end if t_end is None else t_end
     return LaxSystem(m=m, l0=l0, dt=dt, t_end=t_end, observe=tuple(observe))

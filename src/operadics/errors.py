@@ -53,5 +53,9 @@ class ConfigError(OperadError):
     """Bad run configuration (flags, file contents, missing inputs)."""
 
 
+class MissingInitialOpError(ConfigError):
+    """Degree >= 2 without an initial operation: no canonical one exists."""
+
+
 class ParseError(OperadError):
     """Malformed input file."""

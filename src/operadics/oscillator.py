@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LaxSystem, conjugation_oracle
-from .errors import ConfigError, DegreeMismatchError, DimMismatchError, NonFiniteError
+from .errors import (
+    ConfigError,
+    DegreeMismatchError,
+    DimMismatchError,
+    MissingInitialOpError,
+    NonFiniteError,
+)
 from .multiop import ENDO, MultiOp, max_abs_diff
 
 # A monodromy defect at most this large reports the solution as periodic.
@@ -64,6 +70,11 @@ class OscillatorParams:
     l_init: MultiOp | None = None
 
     def __post_init__(self):
+        if self.degree >= 2 and self.l_init is None:
+            raise MissingInitialOpError(
+                "degree >= 2 needs an explicit initial operation (--l-init FILE); "
+                "no canonical one exists"
+            )
         for name, value in (("omega", self.omega), ("q0", self.q0), ("p0", self.p0)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -71,13 +82,7 @@ class OscillatorParams:
             raise ConfigError(f"omega must be positive, got {self.omega}")
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {reprlib.repr(self.degree)}")
-        if self.l_init is None:
-            if self.degree >= 2:
-                raise ConfigError(
-                    "degree >= 2 needs an explicit initial operation; "
-                    "no canonical one exists"
-                )
-        else:
+        if self.l_init is not None:
             if self.l_init.dim != 2:
                 raise DimMismatchError("the oscillator lives on a 2-dim module")
             if self.l_init.degree != self.degree:

@@ -47,27 +47,17 @@ def parse_exact(text: str) -> Fraction:
     raise ParseError(f"bad exact scalar {reprlib.repr(text)}: {reason}")
 
 
-def format_exact(value) -> str:
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     return f"{value:.17g}"
 
 
-def read_json(path, text: str | None = None):
-    """The JSON document in the UTF-8 file at path, or in text when it is
-    given (path then only names it).  A file that cannot be read, bytes that
-    are not UTF-8, invalid JSON, an integer literal over 4300 digits and
-    nesting past the recursion limit are all ParseErrors."""
+def read_json(path):
+    """The JSON document in the UTF-8 file at path.  A file that cannot be
+    read, bytes that are not UTF-8, invalid JSON, an integer literal over
+    4300 digits and nesting past the recursion limit are all ParseErrors."""
     try:
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:

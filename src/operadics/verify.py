@@ -454,48 +454,39 @@ def _total_derivation_deviation(cfg, rng):
     return _agrees(cfg, lhs, rhs), [("mu", mu), ("f", f), ("g", g)]
 
 
-@_suite("tribrace-derivation-deviation")
-def _tribrace_derivation_deviation(cfg, rng):
-    """(-1)**deg(g) dev{h,f,g} = (h.f)~g + (-1)**(|h| deg f) f~(h.g) - h.(f~g)."""
+def _leibniz(mu: MultiOp, product, h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
+    """P(h,f)~g + (-1)**(|h| deg f) f~P(h,g) - P(h, f~g)."""
+    return sub(
+        add(
+            cup(mu, product(h, f), g),
+            scale(sign_pow(h.reduced_degree * f.degree), cup(mu, f, product(h, g))),
+        ),
+        product(h, cup(mu, f, g)),
+    )
+
+
+def _brace_leibniz(cfg, rng, product):
+    """(-1)**deg(g) dev{h,f,g} = _leibniz(mu, product, h, f, g)."""
     mu = _rand(rng, cfg, 2)
     # {h, f, g} lives in degree h + f + g - 2, so keep the sum >= 2.
     deg_h = rng.randint(1, cfg.max_degree)
     deg_f, deg_g = _degrees(rng, cfg, 2, min_sum=2 - deg_h)
     h, f, g = (_rand(rng, cfg, n) for n in (deg_h, deg_f, deg_g))
     lhs = scale(sign_pow(g.degree), brace_deviation(mu, h, f, g))
-    rhs = sub(
-        add(
-            cup(mu, total_compose(h, f), g),
-            scale(
-                sign_pow(h.reduced_degree * f.degree),
-                cup(mu, f, total_compose(h, g)),
-            ),
-        ),
-        total_compose(h, cup(mu, f, g)),
-    )
+    rhs = _leibniz(mu, product, h, f, g)
     return _agrees(cfg, lhs, rhs), [("mu", mu), ("h", h), ("f", f), ("g", g)]
+
+
+@_suite("tribrace-derivation-deviation")
+def _tribrace_derivation_deviation(cfg, rng):
+    """(-1)**deg(g) dev{h,f,g} = (h.f)~g + (-1)**(|h| deg f) f~(h.g) - h.(f~g)."""
+    return _brace_leibniz(cfg, rng, total_compose)
 
 
 @_suite("bracket-leibniz-deviation")
 def _bracket_leibniz_deviation(cfg, rng):
     """(-1)**deg(g) dev{h,f,g} = [h,f]~g + (-1)**(|h| deg f) f~[h,g] - [h, f~g]."""
-    mu = _rand(rng, cfg, 2)
-    # {h, f, g} lives in degree h + f + g - 2, so keep the sum >= 2.
-    deg_h = rng.randint(1, cfg.max_degree)
-    deg_f, deg_g = _degrees(rng, cfg, 2, min_sum=2 - deg_h)
-    h, f, g = (_rand(rng, cfg, n) for n in (deg_h, deg_f, deg_g))
-    lhs = scale(sign_pow(g.degree), brace_deviation(mu, h, f, g))
-    rhs = sub(
-        add(
-            cup(mu, bracket(h, f), g),
-            scale(
-                sign_pow(h.reduced_degree * f.degree),
-                cup(mu, f, bracket(h, g)),
-            ),
-        ),
-        bracket(h, cup(mu, f, g)),
-    )
-    return _agrees(cfg, lhs, rhs), [("mu", mu), ("h", h), ("f", f), ("g", g)]
+    return _brace_leibniz(cfg, rng, bracket)
 
 
 @_suite("cocycle-cup-commutator")
@@ -518,27 +509,14 @@ def _cocycle_cup_commutator(cfg, rng):
 
 @_suite("cocycle-leibniz")
 def _cocycle_leibniz(cfg, rng):
-    """For cocycles h, f, g the bracket-over-cup Leibniz deviation is the
-    coboundary of -(-1)**deg(g) {h; f, g} (an explicit preimage)."""
+    """For cocycles h, f, g the bracket-over-cup Leibniz combination is the
+    coboundary of (-1)**deg(g) {h; f, g} (an explicit preimage)."""
     mu = _DUAL_NUMBERS.mu
     deg_h, deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(3))
-    h = _dual_cocycle(rng, deg_h)
-    f = _dual_cocycle(rng, deg_f)
-    g = _dual_cocycle(rng, deg_g)
-    lhs = sub(
-        bracket(h, cup(mu, f, g)),
-        add(
-            cup(mu, bracket(h, f), g),
-            scale(
-                sign_pow(h.reduced_degree * f.degree),
-                cup(mu, f, bracket(h, g)),
-            ),
-        ),
-    )
-    preimage = scale(-sign_pow(g.degree), tribrace(h, f, g))
-    rhs = coboundary(mu, preimage)
-    ok = lhs == rhs
-    return ok, [("h", h), ("f", f), ("g", g)]
+    h, f, g = (_dual_cocycle(rng, n) for n in (deg_h, deg_f, deg_g))
+    lhs = _leibniz(mu, bracket, h, f, g)
+    rhs = coboundary(mu, scale(sign_pow(g.degree), tribrace(h, f, g)))
+    return lhs == rhs, [("h", h), ("f", f), ("g", g)]
 
 
 @_suite("degree-bookkeeping")

@@ -1,11 +1,15 @@
-"""Closed-form oracles shared by the oscillator and acceptance tests."""
+"""Closed-form oracles shared by the oscillator and acceptance tests, and
+the derivation deviations of the coboundary written out term by term."""
 
 import math
 
 import numpy as np
 
-from operadics.multiop import ENDO, MultiOp
+from operadics.braces import cup, total_compose, tribrace
+from operadics.coboundary import coboundary
+from operadics.multiop import ENDO, MultiOp, scale, sub
 from operadics.oscillator import OscillatorParams
+from operadics.scalars import sign_pow
 
 
 def exact_flow(params: OscillatorParams, t: float) -> tuple[float, float]:
@@ -28,3 +32,41 @@ def classical_lax_time_derivative(params: OscillatorParams, t: float) -> MultiOp
     dp = -(w * w) * q
     dq_w = w * p
     return MultiOp(2, 1, ENDO, np.array([dp, dq_w, dq_w, -dp], dtype=np.float64))
+
+
+def compose_deviation(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
+    """d(f . g) - f . d g - (-1)**|g| d f . g"""
+    return sub(
+        sub(
+            coboundary(mu, total_compose(f, g)),
+            total_compose(f, coboundary(mu, g)),
+        ),
+        scale(sign_pow(g.reduced_degree), total_compose(coboundary(mu, f), g)),
+    )
+
+
+def brace_deviation(mu: MultiOp, h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
+    """d{h,f,g} - {h,f,dg} - (-1)**|g| {h,df,g} - (-1)**(|g|+|f|) {dh,f,g}"""
+    out = sub(
+        coboundary(mu, tribrace(h, f, g)),
+        tribrace(h, f, coboundary(mu, g)),
+    )
+    out = sub(
+        out,
+        scale(sign_pow(g.reduced_degree), tribrace(h, coboundary(mu, f), g)),
+    )
+    return sub(
+        out,
+        scale(
+            sign_pow(g.reduced_degree + f.reduced_degree),
+            tribrace(coboundary(mu, h), f, g),
+        ),
+    )
+
+
+def cup_deviation(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
+    """d(f ~ g) - f ~ d g - (-1)**deg(g) d f ~ g"""
+    return sub(
+        sub(coboundary(mu, cup(mu, f, g)), cup(mu, f, coboundary(mu, g))),
+        scale(sign_pow(g.degree), cup(mu, coboundary(mu, f), g)),
+    )

@@ -441,6 +441,26 @@ def test_lax_non_finite_file_input_is_a_parse_error(tmp_path, overrides):
     assert_one_line_error(run_cli("lax", "--system", path), 4)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"t_end": 1e7},  # 1e10 steps at dt 0.001, over MAX_STEPS
+        # 200001 samples of 129 values, over MAX_CELLS
+        {"L0": {"degree": 6, "coeffs": [0.5] * 128}, "t_end": 200.0, "observe": ["norm"]},
+    ],
+)
+def test_lax_flags_replace_the_file_values_before_the_caps(tmp_path, overrides):
+    # the file alone is over a cap; the run is checked with the --t-end it
+    # runs with and prints what a file with that t_end prints
+    (tmp_path / "long").mkdir()
+    (tmp_path / "short").mkdir()
+    long = _lax_file(tmp_path / "long", **overrides)
+    short = _lax_file(tmp_path / "short", **{**overrides, "t_end": 0.01})
+    r = run_cli("lax", "--system", long, "--t-end", "0.01")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("lax", "--system", short).stdout
+
+
 @pytest.mark.parametrize("flag", ["--t-end", "--dt"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_lax_non_finite_flag_is_a_config_error(flag, value):
@@ -652,6 +672,15 @@ def test_oscillator_degree_two_needs_l_init():
     r = run_cli("oscillator", "--degree", "2", "--t-end", "0.01")
     assert_one_line_error(r, 6)
     assert "--l-init" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [("--degree", "2", "--omega", "-1"), ("--degree", "3", "--q0", "nan")]
+)
+def test_missing_initial_operation_is_checked_before_the_values(flags):
+    # the missing --l-init is the first thing OscillatorParams checks, so a
+    # bad omega or q0 beside it does not change the exit code
+    assert_one_line_error(run_cli("oscillator", *flags), 6)
 
 
 def test_oscillator_degree_two_with_l_init(tmp_path):

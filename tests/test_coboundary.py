@@ -3,20 +3,26 @@
 import random
 
 import numpy as np
+import pytest
 
+import oracles
 from operadics.braces import bracket, mu_squared
 from operadics.coboundary import (
     adjoint_action,
+    brace_deviation,
     coboundary,
     coboundary_square,
     coboundary_via_unit,
     compose_deviation,
     cup_deviation,
 )
+from operadics.errors import OperadError
 from operadics.cohomology import load_algebra
 from operadics.bundled import bundled_path
 from operadics.multiop import (
     ENDO,
+    EXACT,
+    FLOAT,
     MultiOp,
     apply,
     identity_op,
@@ -197,3 +203,30 @@ def test_cup_deviation_vanishes_when_mu_is_associative():
         f = random_op(rng, 2, rng.randint(0, 3), ENDO)
         g = random_op(rng, 2, rng.randint(0, 3), ENDO)
         assert is_zero(cup_deviation(mu, f, g))
+
+
+def _outcome(deviation, *ops):
+    """(coeffs, degree, backend) of a deviation, or the error it raises; the
+    coefficients by repr, so that -0.0 and 0.0 or 1 and Fraction(1) differ."""
+    try:
+        out = deviation(*ops)
+    except OperadError as exc:
+        return type(exc), str(exc)
+    return repr(out.coeffs.tolist()), out.degree, out.backend
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_deviations_equal_their_term_by_term_oracles(backend):
+    # bit for bit: the same terms are added in the same order, so float
+    # results and the errors of underflowing degrees agree exactly too
+    for seed in range(120):
+        rng = random.Random(seed)
+        d = rng.randint(1, 3)
+        mu = random_op(rng, d, 2, ENDO, backend)
+        h, f, g = (random_op(rng, d, rng.randint(0, 3), ENDO, backend) for _ in range(3))
+        for deviation, oracle, ops in [
+            (compose_deviation, oracles.compose_deviation, (mu, f, g)),
+            (brace_deviation, oracles.brace_deviation, (mu, h, f, g)),
+            (cup_deviation, oracles.cup_deviation, (mu, f, g)),
+        ]:
+            assert _outcome(deviation, *ops) == _outcome(oracle, *ops), f"seed {seed}"

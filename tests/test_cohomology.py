@@ -32,7 +32,6 @@ from operadics.bundled import bundled_path
 from operadics.coboundary import coboundary
 from operadics.cohomology import (
     AlgebraSpec,
-    algebra_from_json,
     betti_table,
     coboundary_matrix,
     cocycle_basis,
@@ -53,7 +52,7 @@ from operadics.errors import (
     SizeCapError,
 )
 from operadics.multiop import ENDO, WORK_CAP, MultiOp, is_zero, partial_compose, zero_op
-from operadics.scalars import format_exact, parse_exact
+from operadics.scalars import parse_exact
 
 
 def basis_op(dim, degree, index):
@@ -61,6 +60,21 @@ def basis_op(dim, degree, index):
     data = np.zeros(dim ** (degree + 1), dtype=object)
     data[index] = 1
     return MultiOp(dim, degree, ENDO, data)
+
+
+def format_exact(value) -> str:
+    """An exact scalar as the bundled files write it: 'p' or 'p/q'."""
+    frac = Fraction(value)
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def algebra_from_text(tmp_path, text):
+    """load_algebra on a file holding text."""
+    path = tmp_path / "algebra.json"
+    path.write_text(text)
+    return load_algebra(path)
 
 
 def algebra_to_json(spec):
@@ -423,22 +437,22 @@ def test_solvers_leave_the_sparse_rows_of_a_matrix_unchanged():
 # --- algebra files --------------------------------------------------------
 
 
-def test_bundled_algebras_parse_and_roundtrip_bytes():
+def test_bundled_algebras_parse_and_roundtrip_bytes(tmp_path):
     for name in ("field.json", "dual_numbers.json", "mat2.json"):
         path = bundled_path(name)
         text = path.read_text()
-        spec = algebra_from_json(text)
+        spec = algebra_from_text(tmp_path, text)
         assert algebra_to_json(spec) == text
         assert spec.is_associative()
 
 
-def test_fraction_coefficients_survive_roundtrip():
+def test_fraction_coefficients_survive_roundtrip(tmp_path):
     text = json.dumps(
         {"name": "half", "dim": 1, "mu": ["1/2"]}, indent=2, sort_keys=True
     ) + "\n"
-    spec = algebra_from_json(text)
+    spec = algebra_from_text(tmp_path, text)
     assert spec.mu.coeffs[0] == Fraction(1, 2)
-    assert algebra_from_json(algebra_to_json(spec)).mu == spec.mu
+    assert algebra_from_text(tmp_path, algebra_to_json(spec)).mu == spec.mu
 
 
 @pytest.mark.parametrize(
@@ -457,9 +471,9 @@ def test_fraction_coefficients_survive_roundtrip():
         {"name": "x", "dim": 1, "mu": ["1e100000000"]},
     ],
 )
-def test_malformed_algebra_documents_raise(doc):
+def test_malformed_algebra_documents_raise(tmp_path, doc):
     with pytest.raises(ParseError):
-        algebra_from_json(json.dumps(doc))
+        algebra_from_text(tmp_path, json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -469,11 +483,11 @@ def test_parse_exact_reads_what_fraction_reads(text):
     assert parse_exact(text) == Fraction(text)
 
 
-def test_algebra_from_json_rejects_invalid_json():
+def test_load_algebra_rejects_invalid_json(tmp_path):
     with pytest.raises(ParseError):
-        algebra_from_json("{not json")
+        algebra_from_text(tmp_path, "{not json")
     with pytest.raises(ParseError):
-        algebra_from_json("[" * 100000 + "]" * 100000)
+        algebra_from_text(tmp_path, "[" * 100000 + "]" * 100000)
 
 
 # --- coboundary matrices ---------------------------------------------------
