@@ -41,7 +41,7 @@ from .oscillator import (
     oscillator_system,
 )
 from .scalars import format_float
-from .verify import SuiteConfig, run_all
+from .verify import MAX_CASES, SuiteConfig, run_all
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -85,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     pv.add_argument("--dim", type=int, default=2, help="module dimension")
     pv.add_argument("--max-degree", type=int, default=3, help="largest degree drawn")
-    pv.add_argument("--cases", type=int, default=200, help="cases per suite")
+    pv.add_argument(
+        "--cases", type=int, default=200, help=f"cases per suite, at most {MAX_CASES}"
+    )
     pv.add_argument("--tol", type=float, default=1e-9, help="float-backend tolerance")
     pv.add_argument("--backend", choices=("exact", "float"), default="exact")
     pv.add_argument("--corrupt-sign", action="store_true", help=argparse.SUPPRESS)

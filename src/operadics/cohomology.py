@@ -6,11 +6,14 @@ from degree-n operations (d**(n+1) coefficients) to degree-(n+1) operations.
 This module builds those matrices on the elementary basis as sparse rows,
 by index arithmetic on the structure constants of mu.  One integer
 Gauss-Jordan elimination on sparse rows gives exact ranks and the reduced
-echelon form that preimages and kernels read: each pivot updates only the
-rows with a nonzero entry in its column, and each updated row is divided by
-its gcd.  So independent blocks of a matrix never meet, and no separate pass
-splits them.  Cohomology dimensions follow the usual convention that nothing
-maps into degree 0:
+echelon form that preimages and kernels read.  Rows of Python ints, which
+integer structure constants give, enter it as the matrix holds them; the
+rows of any other matrix are first scaled by the lcm of their denominators
+into new rows of ints.  Each pivot updates only the rows with a nonzero
+entry in its column, and each updated row is divided by its gcd.  So
+independent blocks of a matrix never meet, and no separate pass splits
+them.  Cohomology dimensions follow the usual convention that nothing maps
+into degree 0:
 
     dim H^n = dim Ker(d | C^n) - rank(d | C^(n-1)),   rank(d | C^(-1)) = 0.
 
@@ -95,7 +98,8 @@ class CoboundaryMatrix:
 
     sparse_rows[r] maps each column c, ascending, to the nonzero coefficient
     of basis element r of the target in the coboundary of basis element c of
-    the source: the form that elimination reads.
+    the source: the form that elimination reads.  It reads these very dicts,
+    without a copy, so callers must treat them as read-only.
     """
 
     n: int
@@ -197,27 +201,32 @@ def _coboundary(mu: list, d: int, n: int, unit=None) -> CoboundaryMatrix:
                 by_right[z].append((x * m + at[y], value))
     by_out = [list(table.items()) for table in by_out]
     s = sign_pow(n - 1)
+    mn = m**n
+    # e_c o_i mu puts the inputs y z of mu in place of b_i, the digit of
+    # weight w = m**(n-1-i), with the Koszul sign (-1)**i
+    slots = [(m ** (n - 1 - i), sign_pow(i)) for i in range(n)]
     # column c of the coboundary is d e_c; columns go in ascending order, so
     # each row receives its columns ascending
     out = [{} for _ in range(rows)]
     for c in range(cols):
-        for i in range(n):
-            # e_c o_i mu puts the inputs y z of mu in place of b_i
-            w = m ** (n - 1 - i)
+        for w, sign in slots:
             head, rest = divmod(c, w * m)
             b_i, tail = divmod(rest, w)
             base = head * w * m * m + tail
             for yz, value in by_out[b_i]:
                 row = out[base + yz * w]
-                row[c] = row.get(c, 0) + sign_pow(i) * value
-        a, b = divmod(c, m**n)
+                row[c] = row.get(c, 0) + sign * value
+        a, b = divmod(c, mn)
         for x, z, value in by_left[a]:  # mu o_0 e_c: rows (x, b, z)
-            row = out[(x * m**n + b) * m + z]
+            row = out[(x * mn + b) * m + z]
             row[c] = row.get(c, 0) - s * value
         for xy, value in by_right[a]:  # mu o_1 e_c: rows (x, y, b)
-            row = out[xy * m**n + b]
+            row = out[xy * mn + b]
             row[c] = row.get(c, 0) - value
-    sparse_rows = tuple({c: v for c, v in row.items() if v} for row in out)
+    # only a row where terms cancelled holds a zero
+    sparse_rows = tuple(
+        row if all(row.values()) else {c: v for c, v in row.items() if v} for row in out
+    )
     return CoboundaryMatrix(n=n, rows=rows, cols=cols, sparse_rows=sparse_rows)
 
 
@@ -239,8 +248,10 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
     column count ncols.
 
     Row r maps each column of a nonzero entry to that entry, with rhs[r], if
-    nonzero, as column ncols; each row is scaled by the lcm of its
-    denominators.  The rows are new: a CoboundaryMatrix is never changed.
+    nonzero, as column ncols.  When every value is a Python int the rows
+    are handed over as they are, so an integral CoboundaryMatrix reaches
+    _reduce as its own dicts, which _reduce only reads.  Otherwise each row
+    is scaled by the lcm of its denominators into a new dict of ints.
     """
     if isinstance(matrix, CoboundaryMatrix):
         ncols, rows = matrix.cols, list(matrix.sparse_rows)
@@ -253,6 +264,8 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
     for r, value in zip(range(len(rows)), rhs):
         if value:
             rows[r] = {**rows[r], ncols: value}
+    if all(type(x) is int for row in rows for x in row.values()):
+        return rows, ncols
     return [_integral(row) for row in rows], ncols
 
 
@@ -263,7 +276,7 @@ def _integral(row: dict) -> dict:
 
 
 def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
-    """Integer Gauss-Jordan elimination of sparse integer rows, in place.
+    """Integer Gauss-Jordan elimination of sparse integer rows.
 
     Returns the pivot columns, ascending, each with its row of the reduced
     row echelon form.  The pivot of column c is the lowest-index row not yet
@@ -271,6 +284,8 @@ def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
     below, becomes a * row - f * pivot_row and is divided by its gcd, so the
     entries stay small.  users[c] lists at least the rows with an entry in
     column c: fill-in appends to it, and rows that lost the entry are skipped.
+    Each updated row is a new dict bound to rows[r]; no dict that was passed
+    in is written to, so the rows of a matrix can be passed without a copy.
     """
     users = [[] for _ in range(width)]
     for r, row in enumerate(rows):
@@ -289,17 +304,21 @@ def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
             f = row.get(c)
             if not f or r == p:
                 continue
-            new = {k: a * v for k, v in row.items()}
+            new = row.copy() if a == 1 else {k: a * v for k, v in row.items()}
             for k, v in pivot_row.items():
                 if k in new:
-                    new[k] -= f * v
+                    x = new[k] - f * v
+                    if x:
+                        new[k] = x
+                    else:  # each key comes once, so the order is kept
+                        del new[k]
                 else:
                     new[k] = -f * v
                     users[k].append(r)
             g = math.gcd(*new.values())
             if g > 1:  # a row that became all zeros has gcd 0
                 new = {k: v // g for k, v in new.items()}
-            rows[r] = {k: v for k, v in new.items() if v}
+            rows[r] = new
     return [(c, rows[p]) for p, c in pivots.items()]
 
 

@@ -66,6 +66,11 @@ from .multiop import (
 from .scalars import sign_pow
 
 
+# Hard cap on cases per suite: 200 cases of every suite take about 0.6 s,
+# so the cap bounds a run near 5 minutes.
+MAX_CASES = 100_000
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
@@ -82,8 +87,10 @@ class SuiteConfig:
             raise ConfigError(f"dim must be >= 1, got {reprlib.repr(self.dim)}")
         if self.max_degree < 1:
             raise ConfigError(f"max_degree must be >= 1, got {reprlib.repr(self.max_degree)}")
-        if self.cases < 0:
-            raise ConfigError(f"cases must be >= 0, got {reprlib.repr(self.cases)}")
+        if not 0 <= self.cases <= MAX_CASES:
+            raise ConfigError(
+                f"cases must be in 0..{MAX_CASES}, got {reprlib.repr(self.cases)}"
+            )
         if self.backend not in (EXACT, FLOAT):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if not self.tol >= 0:

@@ -183,6 +183,16 @@ def test_huge_negative_flag_is_one_short_error(args):
     assert len(r.stderr.encode()) < 300, r.stderr[:300]
 
 
+@pytest.mark.parametrize("cases", ["1000000000", str(10**1500)], ids=["1e9", "1e1500"])
+def test_verify_over_the_case_cap_is_one_short_error(cases):
+    # a billion cases would run for about a month; the count is refused
+    # before any suite runs, and a long one is cut as reprlib cuts it
+    r = run_cli("verify", "--cases", cases, timeout=30)
+    assert_one_line_error(r, 2)
+    assert r.stdout == ""
+    assert len(r.stderr.encode()) < 300, r.stderr[:300]
+
+
 def test_verify_rejects_bad_config():
     assert run_cli("verify", "--dim", "0").returncode == 2
     assert run_cli("verify", "--cases", "-3").returncode == 2

@@ -419,19 +419,41 @@ def test_block_solvers_on_coboundary_matrices():
             check_solvers_on_matrix(matrix, rng)
 
 
-def test_solvers_leave_the_sparse_rows_of_a_matrix_unchanged():
-    # rank, solve and kernel eliminate new rows: the matrix's own rows keep
-    # their entries and their column order, also where a right-hand side
-    # entry joins a row
-    spec = load_algebra(bundled_path("mat2.json"))
-    mat = coboundary_matrix(spec, 2)
-    target = coboundary(spec.mu, basis_op(spec.dim, 2, 5)).coeffs.tolist()
-    assert any(target)
-    before = [list(row.items()) for row in mat.sparse_rows]
-    assert exact_rank(mat) > 0
-    assert solve_linear(mat, target) is not None
-    assert nullspace(mat)
-    assert [list(row.items()) for row in mat.sparse_rows] == before
+def test_solvers_leave_the_sparse_rows_of_a_matrix_unchanged(monkeypatch):
+    # rank, solve and kernel never write to a matrix's rows: they keep their
+    # entries and their column order, also where a right-hand side entry
+    # joins a row, where elimination fills rows in (a rebased mat2, whose mu
+    # is dense) and where denominators are cleared first (dual numbers on
+    # the basis 1/2, x).  The rows of an integral matrix reach the
+    # elimination as the matrix's own dicts; a row that takes a right-hand
+    # side entry and every row of a matrix with a Fraction are new.
+    seen = []
+    reduce = cohomology._reduce
+
+    def spy(rows, width):
+        seen.append(list(rows))
+        return reduce(rows, width)
+
+    monkeypatch.setattr(cohomology, "_reduce", spy)
+    mat2 = load_algebra(bundled_path("mat2.json"))
+    dense, _ = rebased(mat2, random.Random(3))
+    cases = ((mat2, 2, True), (dense, 2, True), (scaled_dual_numbers(), 4, False))
+    for spec, n, integral in cases:
+        mat = coboundary_matrix(spec, n)
+        target = coboundary(spec.mu, basis_op(spec.dim, n, 5)).coeffs.tolist()
+        assert any(target)
+        before = [list(row.items()) for row in mat.sparse_rows]
+        seen.clear()
+        assert exact_rank(mat) > 0
+        assert solve_linear(mat, target) is not None
+        assert nullspace(mat)
+        assert [list(row.items()) for row in mat.sparse_rows] == before
+        assert len(seen) == 3
+        ranked, solved, kernel = (
+            [got is row for got, row in zip(rows, mat.sparse_rows)] for rows in seen
+        )
+        assert ranked == kernel == [integral] * mat.rows, spec.name
+        assert solved == [integral and not t for t in target], spec.name
 
 
 # --- algebra files --------------------------------------------------------
@@ -686,6 +708,31 @@ def test_cocycle_bases_are_pinned():
             bases.append([op.coeffs.tolist() for op in basis])
     digest = hashlib.sha256(repr(bases).encode()).hexdigest()
     assert digest == "8800db7d73ed6738cc28909575c08bd211d8cf207c55ebf7bbe97607a09e6749"
+
+
+def test_elimination_is_pinned():
+    # the pivots with their reduced rows (keys in order), one solution and
+    # the kernel of full and normalized matrices with integer and Fraction
+    # entries, and of a dense mu that fills rows in, pinned from an
+    # elimination that built every row anew
+    mat2, _ = rebased(load_algebra(bundled_path("mat2.json")), random.Random(3))
+    names = (("dual_numbers.json", 8), ("mat2.json", 3), ("field.json", 5))
+    specs = [(load_algebra(bundled_path(name)), n_max) for name, n_max in names]
+    specs += [(scaled_dual_numbers(), 8), (mat2, 2)]
+    out = []
+    for spec, n_max in specs:
+        mu = spec.mu.coeffs.tolist()
+        for n in range(n_max + 1):
+            for unit in (None, spec.unit):
+                m = cohomology._coboundary(mu, spec.dim, n, unit)
+                rng = random.Random(f"{spec.name} {n}")
+                x = [rng.randint(-2, 2) for _ in range(m.cols)]
+                target = [sum(v * x[c] for c, v in row.items()) for row in m.sparse_rows]
+                pivots = cohomology._reduce(*cohomology._rows(m))
+                reduced = [(c, list(row.items())) for c, row in pivots]
+                out.append((reduced, solve_linear(m, target), nullspace(m)))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "5f93b2dfd5aae94c5acb2e2e87a53450a00f524a7ec1639985948ddb75a77f65"
 
 
 def test_wide_kernel_runs_in_bounded_memory():

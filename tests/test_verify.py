@@ -8,6 +8,7 @@ from operadics import multiop
 from operadics.errors import ConfigError
 from operadics.multiop import COENDO, FLOAT
 from operadics.verify import (
+    MAX_CASES,
     SuiteConfig,
     derive_seed,
     run_all,
@@ -104,6 +105,9 @@ def test_unknown_suite_and_bad_configs_raise():
         SuiteConfig(dim=0)
     with pytest.raises(ConfigError):
         SuiteConfig(cases=-1)
+    with pytest.raises(ConfigError):
+        SuiteConfig(cases=MAX_CASES + 1)
+    assert SuiteConfig(cases=MAX_CASES).cases == MAX_CASES
     with pytest.raises(ConfigError):
         SuiteConfig(backend="decimal")
     with pytest.raises(ConfigError):
