@@ -26,6 +26,14 @@ of the full complex follow from the Betti numbers: kernel_n = H^n +
 rank_(n-1) and rank_n = dim C^n - kernel_n.  Non-unital algebras,
 is_coboundary and cocycle_basis keep the full complex.
 
+The full-complex matrix of each degree that is_coboundary and cocycle_basis
+solve against, and each integer cocycle basis, depend only on the spec and
+the degree, so each is computed once and kept on its AlgebraSpec, up to
+_KEPT_BYTES (16 MiB) per spec; a result that would pass it is computed on
+every call.  Nothing kept leaves this module: coboundary_matrix builds a
+new matrix that the caller owns, and cocycle_basis returns a new list of
+new ops on read-only arrays.
+
 The complex only makes sense when mu is associative (the coboundary squares
 to the action of the associator tensor); betti_table refuses non-associative
 input, while coboundary_matrix merely warns, since the matrix itself is
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +61,17 @@ from .errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from .multiop import ENDO, EXACT, WORK_CAP, MultiOp, _checked_size, _coefficients, is_zero, zero_op
+from .multiop import (
+    _INT_LIMIT,
+    ENDO,
+    EXACT,
+    WORK_CAP,
+    MultiOp,
+    _checked_size,
+    _coefficients,
+    is_zero,
+    zero_op,
+)
 from .scalars import exact_scalar, fields, op_values, positive_int, read_json, sign_pow
 
 
@@ -77,6 +96,12 @@ class AlgebraSpec:
         return mu_squared(self.mu)
 
     def is_associative(self) -> bool:
+        return self._associative
+
+    @cached_property
+    def _associative(self) -> bool:
+        """Whether the associator vanishes, decided once per spec: every
+        preimage, basis and random cocycle call asks."""
         return is_zero(self.associator)
 
     @cached_property
@@ -91,6 +116,13 @@ class AlgebraSpec:
         u = solve_linear(rows.tolist(), rhs)
         return None if u is None else tuple(MultiOp(d, 0, ENDO, u).coeffs.tolist())
 
+    @cached_property
+    def _kept(self) -> dict:
+        """(kind, degree) -> (result, its bytes): the full-complex coboundary
+        matrices and cocycle bases computed for this spec, within
+        _KEPT_BYTES in all (see _kept_result)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
@@ -99,7 +131,9 @@ class CoboundaryMatrix:
     sparse_rows[r] maps each column c, ascending, to the nonzero coefficient
     of basis element r of the target in the coboundary of basis element c of
     the source: the form that elimination reads.  It reads these very dicts,
-    without a copy, so callers must treat them as read-only.
+    without a copy, and never writes to them.  coboundary_matrix builds a
+    new matrix on each call, which the caller owns; the matrices that
+    is_coboundary and cocycle_basis keep on a spec are never handed out.
     """
 
     n: int
@@ -439,16 +473,64 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
     )
 
 
+# Bytes of kept results per spec, as _nbytes counts them.  The perfbench
+# preimage pass keeps 80 KiB per spec and the verify cocycle suites 16 KiB.
+# 16 MiB, about half of what a fresh interpreter with operadics imported
+# takes, holds every dual numbers matrix through n = 11 together with every
+# basis through n = 9 (8.1 MiB); the basis of n = 11 alone counts 43 MiB.
+_KEPT_BYTES = 2**24
+
+
+def _kept_result(spec: AlgebraSpec, kind: str, degree: int, build):
+    """build(), computed once per (spec, kind, degree) while the kept
+    results of spec fit in _KEPT_BYTES, and on every call once they would
+    not.  Kept results never leave this module: callers get new objects."""
+    kept = spec._kept
+    entry = kept.get((kind, degree))
+    if entry is not None:
+        return entry[0]
+    result = build()
+    size = _nbytes(result)
+    if size + sum(s for _, s in kept.values()) <= _KEPT_BYTES:
+        kept[(kind, degree)] = (result, size)
+    return result
+
+
+def _nbytes(result) -> int:
+    """An upper bound on the bytes a kept matrix or basis holds: its
+    containers, arrays and scalars, each int counted once per place that
+    holds it, even a small int that Python shares."""
+    size = sys.getsizeof
+    if isinstance(result, CoboundaryMatrix):
+        return size(result) + size(vars(result)) + size(result.sparse_rows) + sum(
+            size(row) + sum(map(size, row)) + sum(map(size, row.values()))
+            for row in result.sparse_rows
+        )
+    total = size(result)
+    for pair in result:
+        arr, bound = pair
+        total += size(pair) + size(arr)
+        if bound is None:  # Python ints past int64
+            total += sum(map(size, arr.tolist()))
+    return total
+
+
+def _kept_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
+    """The full-complex coboundary matrix of degree n, kept on the spec:
+    only read, by solve_linear and nullspace."""
+    return _kept_result(spec, "matrix", n, lambda: coboundary_matrix(spec, n))
+
+
 def is_coboundary(spec: AlgebraSpec, f: MultiOp):
     """A preimage g with coboundary(mu, g) = f, or None if f is not exact.
 
-    Only degrees >= 1 are meaningful: nothing maps into degree 0.
+    Only degrees >= 1 are meaningful: nothing maps into degree 0.  The
+    matrix of degree f.degree - 1 is built once per spec (see _kept_result).
     """
     _require_associative(spec)
     if f.degree < 1:
         raise DegreeMismatchError("degree-0 operations have no preimage degree")
-    matrix = coboundary_matrix(spec, f.degree - 1)
-    solution = solve_linear(matrix, f.coeffs.tolist())
+    solution = solve_linear(_kept_matrix(spec, f.degree - 1), f.coeffs.tolist())
     if solution is None:
         return None
     return MultiOp(spec.dim, f.degree - 1, f.variance, solution)
@@ -456,28 +538,47 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
 
 def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
     """Integer basis of the kernel of the coboundary in the given degree: the
-    sparse nullspace vectors with their denominators cleared."""
+    sparse nullspace vectors with their denominators cleared.
+
+    The basis is computed once per spec (see _kept_result); each call
+    returns a new list of new ops on the kept read-only arrays.
+    """
+    return [MultiOp._wrap(spec.dim, degree, ENDO, *pair) for pair in _cocycles(spec, degree)]
+
+
+def _cocycles(spec: AlgebraSpec, degree: int) -> tuple:
+    """The cocycle basis as (coefficients, bound) pairs, MultiOp._wrap's
+    form, kept on the spec."""
     _require_associative(spec)
-    matrix = coboundary_matrix(spec, degree)
+    return _kept_result(spec, "basis", degree, lambda: _basis(spec, degree))
+
+
+def _basis(spec: AlgebraSpec, degree: int) -> tuple:
+    matrix = _kept_matrix(spec, degree)
     basis = []
     for vec in map(_integral, nullspace(matrix)):
         values, bound = _coefficients(list(vec.values()))
         arr = np.zeros(matrix.cols, values.dtype)
         arr[list(vec)] = values
-        basis.append(MultiOp._wrap(spec.dim, degree, ENDO, arr, bound))
-    return basis
+        arr.setflags(write=False)
+        basis.append((arr, bound))
+    return tuple(basis)
 
 
-def random_cocycle(rng, spec: AlgebraSpec, degree: int, basis=None) -> MultiOp:
-    """Random integer combination of kernel basis vectors (a cocycle).
+def random_cocycle(rng, spec: AlgebraSpec, degree: int) -> MultiOp:
+    """Random integer combination of the cocycle basis (a cocycle).
 
     One weight in -3..3 is drawn per basis vector, in basis order, and the
-    weights multiply the stacked basis once.
+    weights multiply the stacked basis once: on int64 when every vector is
+    int64 and no entry of the sum can reach _INT_LIMIT, else on Python ints.
     """
-    if basis is None:
-        basis = cocycle_basis(spec, degree)
+    basis = _cocycles(spec, degree)
     weights = [rng.randint(-3, 3) for _ in basis]
     if not basis:
         return zero_op(spec.dim, degree)
-    stacked = np.array([b.coeffs for b in basis])
+    bounds = [bound for _, bound in basis]
+    if None not in bounds and 3 * sum(bounds) < _INT_LIMIT:
+        total = np.array(weights) @ np.array([arr for arr, _ in basis])
+        return MultiOp._wrap(spec.dim, degree, ENDO, total, int(np.abs(total).max()))
+    stacked = np.array([arr for arr, _ in basis], dtype=object)
     return MultiOp(spec.dim, degree, ENDO, np.array(weights, dtype=object) @ stacked)

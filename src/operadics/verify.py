@@ -45,7 +45,7 @@ from .coboundary import (
     compose_deviation,
     cup_deviation,
 )
-from .cohomology import AlgebraSpec, cocycle_basis, random_cocycle
+from .cohomology import AlgebraSpec, random_cocycle
 from .errors import ConfigError
 from .multiop import (
     ENDO,
@@ -216,17 +216,9 @@ def dual_numbers_spec() -> AlgebraSpec:
     )
 
 
-# The cocycle suites' algebra, built once; its associator and cocycle bases
-# are computed on first use and kept.
+# The cocycle suites' algebra, built once, so the associator and the cocycle
+# bases it keeps (see cohomology._kept_result) are computed on first use.
 _DUAL_NUMBERS = dual_numbers_spec()
-_COCYCLE_CACHE: dict[int, list[MultiOp]] = {}
-
-
-def _dual_cocycle(rng, degree: int) -> MultiOp:
-    basis = _COCYCLE_CACHE.get(degree)
-    if basis is None:
-        basis = _COCYCLE_CACHE[degree] = cocycle_basis(_DUAL_NUMBERS, degree)
-    return random_cocycle(rng, _DUAL_NUMBERS, degree, basis)
 
 
 # ------------------------------------------------------------- the suites
@@ -502,8 +494,8 @@ def _cocycle_cup_commutator(cfg, rng):
     the coboundary of (-1)**deg(g) f.g (an explicit preimage)."""
     mu = _DUAL_NUMBERS.mu
     deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(2))
-    f = _dual_cocycle(rng, deg_f)
-    g = _dual_cocycle(rng, deg_g)
+    f = random_cocycle(rng, _DUAL_NUMBERS, deg_f)
+    g = random_cocycle(rng, _DUAL_NUMBERS, deg_g)
     lhs = sub(
         cup(mu, f, g),
         scale(sign_pow(f.degree * g.degree), cup(mu, g, f)),
@@ -520,7 +512,7 @@ def _cocycle_leibniz(cfg, rng):
     coboundary of (-1)**deg(g) {h; f, g} (an explicit preimage)."""
     mu = _DUAL_NUMBERS.mu
     deg_h, deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(3))
-    h, f, g = (_dual_cocycle(rng, n) for n in (deg_h, deg_f, deg_g))
+    h, f, g = (random_cocycle(rng, _DUAL_NUMBERS, n) for n in (deg_h, deg_f, deg_g))
     lhs = _leibniz(mu, bracket, h, f, g)
     rhs = coboundary(mu, scale(sign_pow(g.degree), tribrace(h, f, g)))
     return lhs == rhs, [("h", h), ("f", f), ("g", g)]

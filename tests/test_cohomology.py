@@ -14,6 +14,7 @@ against the full complex ranked degree by degree, and each normalized
 column against the brace-kernel coboundary of its lift to a full cochain.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -219,6 +221,12 @@ def truncated_polynomials(k):
         for z in range(k - y):
             mu[((y + z) * k + y) * k + z] = 1
     return AlgebraSpec.from_structure_constants(f"x^{k}", k, mu)
+
+
+def split_algebra(n):
+    """Q x Q on the basis (e1, n e1 + e2), e1 and e2 its idempotents: its
+    degree-2 cocycles have entries near n**2."""
+    return AlgebraSpec.from_structure_constants("split", 2, [1, n, n, n * n - n, 0, 0, 0, 1])
 
 
 def upper_triangular():
@@ -655,6 +663,131 @@ def test_associator_is_computed_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
+def spy_builds(monkeypatch):
+    """Spy on the coboundary build and on nullspace: a list of the degree
+    of each matrix built, and one of the degree of each kernel computed."""
+    builds, kernels = [], []
+    build, kernel = cohomology._coboundary, cohomology.nullspace
+
+    def counting_build(mu, d, n, unit=None):
+        builds.append(n)
+        return build(mu, d, n, unit)
+
+    def counting_kernel(matrix):
+        kernels.append(matrix.n)
+        return kernel(matrix)
+
+    monkeypatch.setattr(cohomology, "_coboundary", counting_build)
+    monkeypatch.setattr(cohomology, "nullspace", counting_kernel)
+    return builds, kernels
+
+
+def preimages_and_bases(spec, n_max):
+    """is_coboundary of an exact and of a non-exact target, and
+    cocycle_basis, in each degree 1..n_max."""
+    out = []
+    rng = random.Random(spec.name)
+    for n in range(1, n_max + 1):
+        g = MultiOp(spec.dim, n - 1, ENDO, [rng.randint(-2, 2) for _ in range(spec.dim**n)])
+        basis = cocycle_basis(spec, n)
+        out.append(is_coboundary(spec, coboundary(spec.mu, g)))
+        out.append([is_coboundary(spec, op) for op in basis])
+        out.append(basis)
+    return out
+
+
+def test_preimages_and_bases_build_each_matrix_and_kernel_once(monkeypatch):
+    builds, kernels = spy_builds(monkeypatch)
+    spec = load_algebra(bundled_path("mat2.json"))
+    targets = [coboundary(spec.mu, basis_op(4, 2, c)) for c in (5, 9)]
+    preimages = [is_coboundary(spec, t) for t in targets]
+    basis = cocycle_basis(spec, 2)
+    assert builds == [2] and kernels == [2]
+    assert [is_coboundary(spec, t) for t in targets] == preimages
+    assert cocycle_basis(spec, 2) == basis
+    assert builds == [2] and kernels == [2]
+    # a matrix asked for by its public name is the caller's: built anew
+    coboundary_matrix(spec, 2)
+    assert builds == [2, 2]
+    # a warm spec and a fresh spec give the same preimages and bases
+    for name, n_max in (("field.json", 4), ("dual_numbers.json", 4), ("mat2.json", 2)):
+        warm = load_algebra(bundled_path(name))
+        first = preimages_and_bases(warm, n_max)
+        assert preimages_and_bases(warm, n_max) == first
+        assert preimages_and_bases(load_algebra(bundled_path(name)), n_max) == first
+
+
+def test_kept_results_are_isolated_from_what_callers_get():
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    want = preimages_and_bases(load_algebra(bundled_path("dual_numbers.json")), 3)
+    for n in range(4):
+        for row in coboundary_matrix(spec, n).sparse_rows:
+            row.clear()
+    assert preimages_and_bases(spec, 3) == want
+    for n in range(4):
+        for row in coboundary_matrix(spec, n).sparse_rows:
+            row.clear()
+        cocycle_basis(spec, n).append(basis_op(2, n, 0))
+        cocycle_basis(spec, n).clear()
+    assert preimages_and_bases(spec, 3) == want
+    # the kept arrays cannot be written through the ops handed out
+    with pytest.raises(ValueError):
+        cocycle_basis(spec, 2)[0]._ints[0][0] = 7
+
+
+def test_kept_results_stay_within_the_budget(monkeypatch):
+    want = preimages_and_bases(load_algebra(bundled_path("dual_numbers.json")), 6)
+    builds, kernels = spy_builds(monkeypatch)
+    # with no budget nothing is kept and every call builds anew
+    monkeypatch.setattr(cohomology, "_KEPT_BYTES", 0)
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    assert preimages_and_bases(spec, 6) == want
+    assert spec._kept == {}
+    # per degree: one basis, one exact target, one target per basis op
+    assert len(kernels) == 6 and len(builds) == 2 * 6 + sum(len(b) for b in want[2::3])
+    # a budget that fits the results of degrees up to 5 (79 KiB) but not
+    # one of degree 6 more (52 KiB or more): the total stays within it, and
+    # only what is not kept is built again
+    budget = 96 * 1024
+    monkeypatch.setattr(cohomology, "_KEPT_BYTES", budget)
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    assert preimages_and_bases(spec, 6) == want
+    kept = spec._kept
+    assert sum(size for _, size in kept.values()) <= budget
+    assert all(size == cohomology._nbytes(result) for result, size in kept.values())
+    assert set(kept) == {("matrix", n) for n in range(6)} | {("basis", n) for n in range(1, 6)}
+    builds.clear()
+    kernels.clear()
+    assert preimages_and_bases(spec, 6) == want
+    assert set(builds) == {6} and kernels == [6]
+
+
+def test_kept_bytes_bound_the_memory_a_result_holds(monkeypatch):
+    # a dict or tuple freed elsewhere stays on the interpreter's free lists,
+    # where tracemalloc still counts it: 32 KiB of slack covers them
+    monkeypatch.setattr(cohomology, "_KEPT_BYTES", 0)
+    spec = load_algebra(bundled_path("dual_numbers.json"))
+    big = split_algebra(2**64)
+    builds = [
+        lambda: coboundary_matrix(spec, 8),
+        lambda: coboundary_matrix(big, 8),
+        lambda: cohomology._basis(spec, 8),
+        lambda: cohomology._basis(big, 6),
+    ]
+    for build in builds:
+        build()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = build()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held > 100 * 1024
+        assert held <= cohomology._nbytes(result) + 32 * 1024
+
+
 def test_work_cap_bounds_dim_one_and_admits_every_size_capped_table():
     # the largest table the coefficient cap admits, dim 2 to degree 14
     assert sum(2 ** (n + 1) * (n + 2) for n in range(15)) == WORK_CAP
@@ -764,20 +897,35 @@ def test_random_cocycles_are_cocycles():
 
 def test_random_cocycle_matches_the_weighted_sum_of_its_basis():
     # the weights are drawn in basis order, and the result equals the sum
-    # of weight * basis op added one at a time, value and Python type alike
-    spec = load_algebra(bundled_path("dual_numbers.json"))
-    halves = [MultiOp(2, 1, ENDO, [Fraction(k, 2) for k in range(4)])] * 2
-    for degree, basis in [(1, None), (2, None), (3, None), (1, halves), (1, [])]:
-        if basis is None:
-            basis = cocycle_basis(spec, degree)
+    # of weight * basis op added one at a time, value and Python type alike,
+    # with the bound the constructor would give.  The cases take the int64
+    # path (dual numbers), the Python-int path for a sum that could pass
+    # int64 (split 2**30, whose sum fits, and 2**31, whose sum does not)
+    # and for a basis past int64 (split 2**64), and the empty basis (the
+    # field in degree 1)
+    field = load_algebra(bundled_path("field.json"))
+    dual = load_algebra(bundled_path("dual_numbers.json"))
+    cases = [(dual, 1, True), (dual, 2, True), (dual, 3, True), (field, 1, True)]
+    cases += [(split_algebra(n), 2, False) for n in (2**30, 2**31, 2**64)]
+
+    def bound(op):
+        return None if op._ints is None else op._ints[1]
+
+    for spec, degree, on_int64 in cases:
+        basis = cocycle_basis(spec, degree)
+        bounds = list(map(bound, basis))
+        assert on_int64 == (None not in bounds and 3 * sum(bounds) < 2**62)
         rng, twin = random.Random(degree), random.Random(degree)
-        got = random_cocycle(rng, spec, degree, basis)
+        got = random_cocycle(rng, spec, degree)
         want = zero_op(spec.dim, degree)
         for b in basis:
             want = want + twin.randint(-3, 3) * b
         assert got == want
         assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+        assert bound(got) == bound(MultiOp(spec.dim, degree, ENDO, got.coeffs))
         assert rng.random() == twin.random()
+    assert cocycle_basis(field, 1) == []
+    assert [op._ints for op in cocycle_basis(split_algebra(2**64), 2)] == [None] * 4
 
 
 def test_is_coboundary_recovers_constructed_images():
