@@ -57,7 +57,6 @@ from .dynamics import (
     conjugation_oracle,
     evaluate_observer,
     integrate,
-    lax_rhs,
     load_initial_op,
     load_lax_system,
     matrix_exp,
@@ -117,7 +116,6 @@ from .verify import (
     SuiteResult,
     derive_seed,
     diagonal_mu,
-    dual_numbers_spec,
     run_all,
     run_suite,
     suite_names,

@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -82,15 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run every identity suite")
     common(pv)
-    pv.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    pv.add_argument("--dim", type=int, default=2, help="module dimension")
-    pv.add_argument("--max-degree", type=int, default=3, help="largest degree drawn")
-    pv.add_argument(
-        "--cases", type=int, default=200, help=f"cases per suite, at most {MAX_CASES}"
-    )
-    pv.add_argument("--tol", type=float, default=1e-9, help="float-backend tolerance")
-    pv.add_argument("--backend", choices=("exact", "float"), default="exact")
+    pv.add_argument("--seed", type=int, help="RNG seed (default %(default)s)")
+    pv.add_argument("--dim", type=int, help="module dimension")
+    pv.add_argument("--max-degree", type=int, help="largest degree drawn")
+    pv.add_argument("--cases", type=int, help=f"cases per suite, at most {MAX_CASES}")
+    pv.add_argument("--tol", type=float, help="float-backend tolerance")
+    pv.add_argument("--backend", choices=("exact", "float"))
     pv.add_argument("--corrupt-sign", action="store_true", help=argparse.SUPPRESS)
+    pv.set_defaults(**asdict(SuiteConfig()))
 
     pc = sub.add_parser("cohomology", help="exact Betti table of an algebra file")
     common(pc)
@@ -146,27 +145,16 @@ def _csv(columns, table, footer_lines=()) -> Iterator[str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    cfg = SuiteConfig(
-        seed=args.seed,
-        dim=args.dim,
-        max_degree=args.max_degree,
-        cases=args.cases,
-        tol=args.tol,
-        backend=args.backend,
-        corrupt_sign=args.corrupt_sign,
-    )
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     results = run_all(cfg)
     ok = all(r.passed for r in results)
     if args.format == "machine":
         doc = {
             "command": "verify",
             "config": {
-                "seed": cfg.seed,
-                "dim": cfg.dim,
-                "max_degree": cfg.max_degree,
-                "cases": cfg.cases,
-                "tol": cfg.tol,
-                "backend": cfg.backend,
+                name: value
+                for name, value in asdict(cfg).items()
+                if name not in ("variance", "corrupt_sign")
             },
             "suites": [asdict(r) for r in results],
             "ok": ok,

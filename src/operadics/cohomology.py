@@ -67,6 +67,7 @@ from .multiop import (
     EXACT,
     WORK_CAP,
     MultiOp,
+    _arrays,
     _checked_size,
     _coefficients,
     is_zero,
@@ -109,12 +110,12 @@ class AlgebraSpec:
         """The two-sided unit u, mu(u, e_j) = e_j = mu(e_j, u), as exact
         coordinates, or None when mu has none."""
         d = self.dim
-        c = self.mu.coeffs.reshape(d, d, d)  # c[x, y, z]: x in y z
+        c = _arrays((self.mu,))[0].reshape(d, d, d)  # c[x, y, z]: x in y z
         # rows (x, j) of mu(u, e_j) and then of mu(e_j, u), columns k of u
         rows = np.concatenate((c.transpose(0, 2, 1), c)).reshape(2 * d * d, d)
         rhs = np.eye(d, dtype=int).reshape(-1).tolist() * 2
         u = solve_linear(rows.tolist(), rhs)
-        return None if u is None else tuple(MultiOp(d, 0, ENDO, u).coeffs.tolist())
+        return None if u is None else tuple(_coefficients(u)[0].tolist())
 
     @cached_property
     def _kept(self) -> dict:
@@ -186,7 +187,7 @@ def coboundary_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
             stacklevel=2,
         )
     _checked_size(spec.dim, n + 1, ENDO)  # the target, degree n + 1
-    return _coboundary(spec.mu.coeffs.tolist(), spec.dim, n)
+    return _coboundary(_arrays((spec.mu,))[0].tolist(), spec.dim, n)
 
 
 def _coboundary(mu: list, d: int, n: int, unit=None) -> CoboundaryMatrix:
@@ -413,7 +414,7 @@ def _require_associative(spec: AlgebraSpec):
     if not spec.is_associative():
         raise NotAssociativeError(
             f"mu of {reprlib.repr(spec.name)} is not associative: "
-            f"{np.count_nonzero(spec.associator.coeffs)} coefficients of mu.mu "
+            f"{np.count_nonzero(_arrays((spec.associator,))[0])} coefficients of mu.mu "
             "are nonzero"
         )
 
@@ -444,7 +445,7 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
     if n_max < 0:
         raise DegreeMismatchError(f"n_max must be >= 0, got {reprlib.repr(n_max)}")
     _check_table_size(spec.dim, n_max)
-    d, mu = spec.dim, spec.mu.coeffs.tolist()
+    d, mu = spec.dim, _arrays((spec.mu,))[0].tolist()
     dims = []
     ranks = []
     kernels = []
@@ -530,7 +531,7 @@ def is_coboundary(spec: AlgebraSpec, f: MultiOp):
     _require_associative(spec)
     if f.degree < 1:
         raise DegreeMismatchError("degree-0 operations have no preimage degree")
-    solution = solve_linear(_kept_matrix(spec, f.degree - 1), f.coeffs.tolist())
+    solution = solve_linear(_kept_matrix(spec, f.degree - 1), _arrays((f,))[0].tolist())
     if solution is None:
         return None
     return MultiOp(spec.dim, f.degree - 1, f.variance, solution)

@@ -2,10 +2,11 @@
 
 The evolution equation for an operadic observable f is df/dt = [H, f]; when
 the generator is a degree-1 operation M (reduced degree 0) every Koszul sign
-collapses and the equation becomes the Lax form dL/dt = M.L - L.M.  This
-module provides the right-hand sides, a fixed-step RK4 integrator for the
-coupled (classical state, L) system, a closed-form conjugation oracle for
-constant M, and the invariant observers used to check isospectrality.
+collapses and the equation becomes the Lax form dL/dt = [M, L] = M.L - L.M,
+which braces.bracket(M, L) computes.  This module provides a fixed-step RK4
+integrator for the coupled (classical state, L) system, a closed-form
+conjugation oracle for constant M, and the invariant observers used to
+check isospectrality.
 
 The integrator works on the float backend throughout.  The Lax right-hand
 side is linear in L and the classical state follows a constant linear field,
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import total_compose
 from .errors import (
     ConfigError,
     DegreeMismatchError,
@@ -39,12 +39,7 @@ from .errors import (
     ShapeMismatchError,
     VarianceMismatchError,
 )
-from .multiop import (
-    ENDO,
-    MultiOp,
-    partial_compose,
-    sub,
-)
+from .multiop import ENDO, MultiOp, partial_compose
 from .scalars import fields, finite, op_values, positive_int, read_json
 
 OBSERVER_NAMES = ("norm", "trace1", "trace2", "trace3", "assoc_defect")
@@ -60,17 +55,6 @@ MAX_CELLS = 2**24
 # Hard cap on the (row, column, value) triplets of a Lax right-hand side; at
 # about 48 bytes an entry it keeps a run's triplet arrays near 400 MiB.
 MAX_TRIPLETS = 2**23
-
-
-def lax_rhs(m: MultiOp, l: MultiOp) -> MultiOp:
-    """dL/dt for a Lax pair: M.L - L.M, valid because |M| = 0.
-
-    For degree-1 L this is the ordinary matrix commutator ML - LM.
-    """
-    if m.degree != 1:
-        raise DegreeMismatchError(f"Lax generator must have degree 1, got {m.degree}")
-    return sub(total_compose(m, l), total_compose(l, m))
-
 
 # Steps integrated between two finiteness checks: a diverging run stops
 # within one block of its first non-finite row.
@@ -380,7 +364,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 def conjugation_oracle(m: MultiOp, l0: MultiOp, t: float) -> MultiOp:
     """Closed-form solution exp(tM) o L0 o exp(-tM) on every input slot.
 
-    Valid for constant degree-1 M; differentiating in t reproduces lax_rhs.
+    Valid for constant degree-1 M; differentiating in t gives bracket(M, L(t)).
     All the composition signs are +1 because |M| = 0.
     """
     if m.degree != 1:

@@ -19,6 +19,7 @@ can fail.
 
 from __future__ import annotations
 
+import functools
 import random
 import reprlib
 import zlib
@@ -36,6 +37,7 @@ from .braces import (
     total_compose,
     tribrace,
 )
+from .bundled import bundled_path
 from .coboundary import (
     adjoint_action,
     brace_deviation,
@@ -45,7 +47,7 @@ from .coboundary import (
     compose_deviation,
     cup_deviation,
 )
-from .cohomology import AlgebraSpec, random_cocycle
+from .cohomology import AlgebraSpec, load_algebra, random_cocycle
 from .errors import ConfigError
 from .multiop import (
     ENDO,
@@ -208,17 +210,14 @@ def diagonal_mu(dim: int, backend: str = EXACT, variance: str = ENDO) -> MultiOp
     return MultiOp(dim, 2, variance, data)
 
 
-def dual_numbers_spec() -> AlgebraSpec:
-    """The 2-dim algebra with basis (1, e), e*e = 0; its kernel is rich
-    enough in every degree to make cocycle sampling nontrivial."""
-    return AlgebraSpec.from_structure_constants(
-        "dual_numbers", 2, [1, 0, 0, 0, 0, 1, 1, 0]
-    )
-
-
-# The cocycle suites' algebra, built once, so the associator and the cocycle
-# bases it keeps (see cohomology._kept_result) are computed on first use.
-_DUAL_NUMBERS = dual_numbers_spec()
+@functools.cache  # loaded on first use, once per process
+def _dual_numbers() -> AlgebraSpec:
+    """The cocycle suites' algebra: the bundled dual numbers, basis (1, e)
+    with e*e = 0, whose kernel is rich enough in every degree to make
+    cocycle sampling nontrivial.  One spec serves every case, so the
+    associator and the cocycle bases it keeps (see cohomology._kept_result)
+    are computed once."""
+    return load_algebra(bundled_path("dual_numbers.json"))
 
 
 # ------------------------------------------------------------- the suites
@@ -492,10 +491,11 @@ def _bracket_leibniz_deviation(cfg, rng):
 def _cocycle_cup_commutator(cfg, rng):
     """For cocycles f, g of the dual-numbers algebra the cup commutator is
     the coboundary of (-1)**deg(g) f.g (an explicit preimage)."""
-    mu = _DUAL_NUMBERS.mu
+    spec = _dual_numbers()
+    mu = spec.mu
     deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(2))
-    f = random_cocycle(rng, _DUAL_NUMBERS, deg_f)
-    g = random_cocycle(rng, _DUAL_NUMBERS, deg_g)
+    f = random_cocycle(rng, spec, deg_f)
+    g = random_cocycle(rng, spec, deg_g)
     lhs = sub(
         cup(mu, f, g),
         scale(sign_pow(f.degree * g.degree), cup(mu, g, f)),
@@ -510,9 +510,10 @@ def _cocycle_cup_commutator(cfg, rng):
 def _cocycle_leibniz(cfg, rng):
     """For cocycles h, f, g the bracket-over-cup Leibniz combination is the
     coboundary of (-1)**deg(g) {h; f, g} (an explicit preimage)."""
-    mu = _DUAL_NUMBERS.mu
+    spec = _dual_numbers()
+    mu = spec.mu
     deg_h, deg_f, deg_g = (rng.choice((1, 2, 3)) for _ in range(3))
-    h, f, g = (random_cocycle(rng, _DUAL_NUMBERS, n) for n in (deg_h, deg_f, deg_g))
+    h, f, g = (random_cocycle(rng, spec, n) for n in (deg_h, deg_f, deg_g))
     lhs = _leibniz(mu, bracket, h, f, g)
     rhs = coboundary(mu, scale(sign_pow(g.degree), tribrace(h, f, g)))
     return lhs == rhs, [("h", h), ("f", f), ("g", g)]

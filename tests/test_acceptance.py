@@ -21,15 +21,10 @@ import time
 
 import numpy as np
 
-from operadics.braces import cup, mu_squared, tetrabrace
+from operadics.braces import bracket, cup, mu_squared, tetrabrace
 from operadics.bundled import bundled_path
 from operadics.cohomology import betti_table, load_algebra
-from operadics.dynamics import (
-    LaxSystem,
-    conjugation_oracle,
-    integrate,
-    lax_rhs,
-)
+from operadics.dynamics import LaxSystem, conjugation_oracle, integrate
 from operadics.multiop import (
     COENDO,
     ENDO,
@@ -165,7 +160,7 @@ def test_criterion_5_classical_oscillator():
     for t in np.linspace(0.0, 10.0, 1001):
         # dL/dt = ML - LM along the exact trajectory
         q, p = exact_flow(params, float(t))
-        rhs = lax_rhs(m, classical_lax(q, p, 2.0))
+        rhs = bracket(m, classical_lax(q, p, 2.0))
         dl = classical_lax_time_derivative(params, float(t))
         assert float(op_norm(sub(dl, rhs))) <= 1e-12
     elapsed = time.perf_counter() - start

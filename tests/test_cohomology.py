@@ -663,6 +663,28 @@ def test_associator_is_computed_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", ["mat2.json", "dual_numbers.json"])
+def test_int64_ops_are_read_without_an_object_copy(name):
+    # coeffs of an int64 op is an object array cached on the op: reading the
+    # int64 values instead leaves neither mu nor the target holding one
+    spec = load_algebra(bundled_path(name))
+    target = coboundary(spec.mu, basis_op(spec.dim, 1, 1))
+    assert spec.unit is not None
+    betti_table(spec, 2)
+    coboundary_matrix(spec, 1)
+    assert is_coboundary(spec, target) is not None
+    assert "coeffs" not in vars(spec.mu)
+    assert "coeffs" not in vars(target)
+    # float values still reach the exact solvers and are refused there
+    float_target = MultiOp(spec.dim, 2, ENDO, np.zeros(spec.dim**3))
+    with pytest.raises(BackendMismatchError, match="exact entries expected"):
+        is_coboundary(spec, float_target)
+    float_spec = AlgebraSpec(name="float", dim=1, mu=MultiOp(1, 2, ENDO, [1.0]))
+    for call in (lambda: float_spec.unit, lambda: betti_table(float_spec)):
+        with pytest.raises(BackendMismatchError, match="exact entries expected"):
+            call()
+
+
 def spy_builds(monkeypatch):
     """Spy on the coboundary build and on nullspace: a list of the degree
     of each matrix built, and one of the degree of each kernel computed."""

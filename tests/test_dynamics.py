@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from operadics import dynamics
-from operadics.braces import mu_squared
+from operadics.braces import bracket, mu_squared
 from operadics.dynamics import (
     MAX_CELLS,
     LaxSystem,
@@ -25,7 +25,6 @@ from operadics.dynamics import (
     conjugation_oracle,
     evaluate_observer,
     integrate,
-    lax_rhs,
     load_initial_op,
     load_lax_system,
     matrix_exp,
@@ -72,12 +71,12 @@ def test_degree_one_rhs_is_the_matrix_commutator():
         mm = m.coeffs.reshape(d, d)
         lm = l.coeffs.reshape(d, d)
         want = mm @ lm - lm @ mm
-        assert np.allclose(lax_rhs(m, l).coeffs.reshape(d, d), want, atol=1e-14)
+        assert np.allclose(bracket(m, l).coeffs.reshape(d, d), want, atol=1e-14)
 
 
 def test_rhs_of_identity_like_l_vanishes():
     m = _rotation_m()
-    assert op_norm(lax_rhs(m, identity_op(2, ENDO, FLOAT))) == 0.0
+    assert op_norm(bracket(m, identity_op(2, ENDO, FLOAT))) == 0.0
 
 
 def test_degree_two_rhs_matches_kron_oracle():
@@ -92,25 +91,19 @@ def test_degree_two_rhs_matches_kron_oracle():
         lm = l.coeffs.reshape(d, d * d)
         eye = np.eye(d)
         want = mm @ lm - lm @ np.kron(mm, eye) - lm @ np.kron(eye, mm)
-        got = lax_rhs(m, l).coeffs.reshape(d, d * d)
+        got = bracket(m, l).coeffs.reshape(d, d * d)
         assert np.allclose(got, want, atol=1e-13)
 
 
-def test_lax_rhs_requires_degree_one_generator():
-    rng = random.Random(2)
-    with pytest.raises(DegreeMismatchError):
-        lax_rhs(random_op(rng, 2, 2, ENDO, FLOAT), random_op(rng, 2, 1, ENDO, FLOAT))
-
-
 def rhs_matrix_oracle(m, degree):
-    """Matrix of L -> M.L - L.M, one lax_rhs call per basis vector."""
+    """Matrix of L -> M.L - L.M, one bracket call per basis vector."""
     d = m.dim
     size = d ** (degree + 1)
     out = np.empty((size, size), dtype=np.float64)
     basis = np.zeros(size, dtype=np.float64)
     for c in range(size):
         basis[c] = 1.0
-        out[:, c] = lax_rhs(m, MultiOp(d, degree, ENDO, basis)).coeffs
+        out[:, c] = bracket(m, MultiOp(d, degree, ENDO, basis)).coeffs
         basis[c] = 0.0
     return out
 
@@ -317,7 +310,7 @@ def test_oracle_satisfies_the_lax_equation():
                 conjugation_oracle(m, l0, t + step),
                 conjugation_oracle(m, l0, t - step),
             )
-            rhs = lax_rhs(m, conjugation_oracle(m, l0, t))
+            rhs = bracket(m, conjugation_oracle(m, l0, t))
             # central differences with step 1e-5 leave O(1e-10) truncation
             assert op_norm(sub(deriv, rhs)) < 1e-8
 

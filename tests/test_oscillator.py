@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from operadics.dynamics import evaluate_observer, integrate, lax_rhs, matrix_exp
+from operadics.braces import bracket
+from operadics.dynamics import evaluate_observer, integrate, matrix_exp
 from operadics.errors import (
     ConfigError,
     DegreeMismatchError,
@@ -109,7 +110,7 @@ def test_energy_is_constant_along_the_exact_flow():
 def lax_residual_classical(params, t):
     """Norm of dL/dt - (ML - LM) along the exact trajectory (analytically 0)."""
     q, p = exact_flow(params, t)
-    rhs = lax_rhs(m_matrix(params.omega), classical_lax(q, p, params.omega))
+    rhs = bracket(m_matrix(params.omega), classical_lax(q, p, params.omega))
     return float(op_norm(sub(classical_lax_time_derivative(params, t), rhs)))
 
 
@@ -122,11 +123,7 @@ def test_wrong_sign_generator_breaks_the_residual():
     # negative control: flipping M makes the defect comparable to ||L||
     for t in (0.1, 0.7, 2.3):
         q, p = exact_flow(STANDARD, t)
-        from operadics.dynamics import lax_rhs
-
-        wrong = lax_rhs(
-            scale(-1.0, m_matrix(2.0)), classical_lax(q, p, 2.0)
-        )
+        wrong = bracket(scale(-1.0, m_matrix(2.0)), classical_lax(q, p, 2.0))
         deriv = classical_lax_time_derivative(STANDARD, t)
         assert op_norm(sub(deriv, wrong)) > 1.0
 
