@@ -110,7 +110,7 @@ from .oscillator import (
     resolve_l_init,
     transport_solution,
 )
-from .scalars import format_float, parse_exact, sign_pow
+from .scalars import parse_exact, sign_pow
 from .verify import (
     SuiteConfig,
     SuiteResult,

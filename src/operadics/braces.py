@@ -42,7 +42,7 @@ def brace(h: MultiOp, *gs: MultiOp) -> MultiOp:
     """
     if not gs:
         return h
-    return _sum(h, h.degree + sum(g.reduced_degree for g in gs), [_terms(h, gs)])
+    return _sum([_terms(h, gs)])
 
 
 def total_compose(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -65,7 +65,7 @@ def cup(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
     mu{f, g} has the single term (mu o_0 f) o_deg(f) g.
     """
     _require_mu(mu)
-    return _sum(mu, f.degree + g.degree, [_terms(mu, (f, g), sign_pow(f.degree))])
+    return _sum([_terms(mu, (f, g), sign_pow(f.degree))])
 
 
 def tribrace(h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
@@ -82,8 +82,7 @@ def bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """Graded commutator of total composition: the terms of f{g}, then those
     of -(-1)**(|f| |g|) g{f}, in one sum."""
     sign = sign_pow(f.reduced_degree * g.reduced_degree)
-    parts = [_terms(f, (g,)), _terms(g, (f,), -sign)]
-    return _sum(f, f.degree + g.reduced_degree, parts)
+    return _sum([_terms(f, (g,)), _terms(g, (f,), -sign)])
 
 
 def compose_associator(h: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:

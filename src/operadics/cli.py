@@ -40,7 +40,6 @@ from .oscillator import (
     monodromy_report,
     oscillator_system,
 )
-from .scalars import format_float
 from .verify import MAX_CASES, SuiteConfig, run_all
 
 EXIT_OK = 0
@@ -136,7 +135,7 @@ def _machine(doc) -> str:
 def _csv(columns, table, footer_lines=()) -> Iterator[str]:
     """The CSV text in pieces: the header, at most _CSV_ROWS rows at a time,
     then the footer, so a long run is never held as one string."""
-    # "%.17g" % v has the bytes of format_float(v), nan, inf and -0 included
+    # "%.17g" % v has the bytes of f"{v:.17g}", nan, inf and -0 included
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     yield ",".join(columns) + "\n"
     for lo in range(0, len(table), _CSV_ROWS):
@@ -248,8 +247,8 @@ def _cmd_oscillator(args) -> tuple[int, str | Iterator[str]]:
     require_finite(energy, system.dt, "H")
     report = monodromy_report(params)
     footer = (
-        f"# monodromy degree={report.degree} period={format_float(report.period)} "
-        f"defect={format_float(report.defect)} "
+        f"# monodromy degree={report.degree} period={report.period:.17g} "
+        f"defect={report.defect:.17g} "
         f"periodic={'true' if report.periodic else 'false'}",
     )
     extra = (("q", q), ("p", p), ("H", energy))

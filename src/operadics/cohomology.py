@@ -62,7 +62,6 @@ from .errors import (
     SizeCapError,
 )
 from .multiop import (
-    _INT_LIMIT,
     ENDO,
     EXACT,
     WORK_CAP,
@@ -549,8 +548,10 @@ def cocycle_basis(spec: AlgebraSpec, degree: int) -> list[MultiOp]:
 
 def _cocycles(spec: AlgebraSpec, degree: int) -> tuple:
     """The cocycle basis as (coefficients, bound) pairs, MultiOp._wrap's
-    form, kept on the spec."""
+    form, kept on the spec.  The degree meets the size rule before the kept
+    bases are looked up, since a kept key of 1 is also found by 1.0."""
     _require_associative(spec)
+    _checked_size(spec.dim, degree, ENDO)
     return _kept_result(spec, "basis", degree, lambda: _basis(spec, degree))
 
 
@@ -570,16 +571,12 @@ def random_cocycle(rng, spec: AlgebraSpec, degree: int) -> MultiOp:
     """Random integer combination of the cocycle basis (a cocycle).
 
     One weight in -3..3 is drawn per basis vector, in basis order, and the
-    weights multiply the stacked basis once: on int64 when every vector is
-    int64 and no entry of the sum can reach _INT_LIMIT, else on Python ints.
+    weights multiply the stacked basis once on Python ints; the constructor
+    gives the result its int64 or object form, as for any given coefficients.
     """
     basis = _cocycles(spec, degree)
     weights = [rng.randint(-3, 3) for _ in basis]
     if not basis:
         return zero_op(spec.dim, degree)
-    bounds = [bound for _, bound in basis]
-    if None not in bounds and 3 * sum(bounds) < _INT_LIMIT:
-        total = np.array(weights) @ np.array([arr for arr, _ in basis])
-        return MultiOp._wrap(spec.dim, degree, ENDO, total, int(np.abs(total).max()))
     stacked = np.array([arr for arr, _ in basis], dtype=object)
     return MultiOp(spec.dim, degree, ENDO, np.array(weights, dtype=object) @ stacked)

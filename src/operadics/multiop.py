@@ -129,11 +129,18 @@ def _coefficients(values: list):
 
 def _checked_size(dim: int, degree: int, variance: str, what: str = "") -> int:
     """The coefficient count dim**(degree+1) of a valid shape within SIZE_CAP:
-    the one size rule, for every op and every stage of a plan.  A shape named
-    what (by default its dim and degree) that is surely over the cap is
-    refused before the power is computed, so each message is one short line."""
+    the one size rule, for every op and every stage of a plan.  A dim or
+    degree that is not an integer is refused, and a shape named what (by
+    default its dim and degree) that is surely over the cap is refused
+    before the power is computed, so each message is one short line."""
     if variance not in VARIANCES:
         raise VarianceMismatchError(f"unknown variance {variance!r}")
+    try:
+        dim, degree = operator.index(dim), operator.index(degree)
+    except TypeError:
+        raise ShapeMismatchError(
+            f"dim and degree must be integers, got {reprlib.repr(dim)} and {reprlib.repr(degree)}"
+        ) from None
     if dim < 1:
         raise ShapeMismatchError(f"dim must be >= 1, got {reprlib.repr(dim)}")
     if degree < 0:
@@ -262,9 +269,16 @@ def _check_pair(f: MultiOp, g: MultiOp):
         )
 
 
+def _is_float(backend: str) -> bool:
+    """Whether backend is FLOAT; a name other than FLOAT and EXACT is refused."""
+    if backend not in (EXACT, FLOAT):
+        raise BackendMismatchError(f"unknown backend {backend!r}")
+    return backend == FLOAT
+
+
 def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
     size = _checked_size(dim, degree, variance)
-    if backend == FLOAT:
+    if _is_float(backend):
         return MultiOp._wrap(dim, degree, variance, np.zeros(size))
     return MultiOp._wrap(dim, degree, variance, np.zeros(size, np.int64), 0)
 
@@ -272,7 +286,7 @@ def zero_op(dim: int, degree: int, variance: str = ENDO, backend: str = EXACT) -
 def identity_op(dim: int, variance: str = ENDO, backend: str = EXACT) -> MultiOp:
     """The operadic unit: the degree-1 identity map (Kronecker delta)."""
     _checked_size(dim, 1, variance)
-    if backend == FLOAT:
+    if _is_float(backend):
         return MultiOp._wrap(dim, 1, variance, np.eye(dim).reshape(-1))
     return MultiOp._wrap(dim, 1, variance, np.eye(dim, dtype=np.int64).reshape(-1), 1)
 
@@ -300,7 +314,7 @@ def scale(s, f: MultiOp) -> MultiOp:
         if isinstance(s, Fraction):
             raise BackendMismatchError("Fraction scalar on a float operand")
         s = float(s)
-    elif isinstance(s, float):
+    elif isinstance(s, (float, np.floating)):
         raise BackendMismatchError("float scalar on an exact operand")
     elif isinstance(s, (int, np.integer)) and f._ints is not None:
         k, (arr, bound) = operator.index(s), f._ints
@@ -342,7 +356,7 @@ def random_op(
 ) -> MultiOp:
     """Draw a random op: exact entries uniform in -3..3, float in [-1, 1)."""
     size = _checked_size(dim, degree, variance)
-    if backend == FLOAT:
+    if _is_float(backend):
         data = np.array([rng.uniform(-1.0, 1.0) for _ in range(size)])
         return MultiOp._wrap(dim, degree, variance, data)
     data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64)
@@ -356,19 +370,23 @@ def partial_compose(f: MultiOp, g: MultiOp, i: int) -> MultiOp:
     secondary block; the result has degree deg f + deg g - 1.  Degree-0 f
     has no slots, so composing into it always raises.
     """
-    m, n = f.degree, g.degree
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise SlotOutOfRangeError(f"slot {reprlib.repr(i)} is not an integer") from None
+    m = f.degree
     if m == 0:
         raise SlotOutOfRangeError("cannot compose into a degree-0 operation")
     if not 0 <= i <= m - 1:
         raise SlotOutOfRangeError(f"slot {i} outside 0..{m - 1}")
-    return _sum(f, m + n - 1, [_terms(f, (g,), slots=(i,))])
+    return _sum([_terms(f, (g,), slots=(i,))])
 
 
 def _terms(h: MultiOp, gs, sign: int = 1, slots: tuple = ()):
-    """The terms of sign * h{gs} as a part (count, h, gs, plans) of _sum: one
-    plan, or a lazy sequence of chunk plans; given slots, only the term that
-    inserts the gs at those original slots of h.  A sum without terms is the
-    one term of the zero op of its degree with no insertions.
+    """The terms of sign * h{gs}, all of degree deg h + sum |g|, as a part
+    (count, h, gs, plans, degree) of _sum: one plan, or a lazy sequence of
+    chunk plans; given slots, only the term that inserts the gs at those
+    original slots of h.  An empty sum is its zero op, one term with no insertions.
 
     The operands are checked, and the errors of inserting them one slot at a
     time raised, before any plan is built: the errors of the zero op for a
@@ -377,31 +395,32 @@ def _terms(h: MultiOp, gs, sign: int = 1, slots: tuple = ()):
     """
     for outer, inner in zip((h, *gs), gs):
         _check_pair(outer, inner)
+    degs = tuple([g.degree for g in gs])
+    degree = h.degree + sum(degs) - len(degs)
     if len(gs) > h.degree:
-        degree = h.degree + sum(g.reduced_degree for g in gs)
         if degree < 0:
             raise DegreeUnderflowError(f"result would have degree {degree}")
-        h, gs, sign = zero_op(h.dim, degree, h.variance, h.backend), (), 1
-    degs = tuple([g.degree for g in gs])
+        h, gs, degs, sign = zero_op(h.dim, degree, h.variance, h.backend), (), (), 1
     count = 1 if slots else math.comb(h.degree, len(gs))
     plan = _compile(h.dim, h.degree, degs, sign, slots)
     if not isinstance(plan, int):
-        return count, h, gs, (plan,)
+        return count, h, gs, (plan,), degree
     points = iter([slots]) if slots else combinations(range(h.degree), len(gs))
     chunks = iter(lambda: list(islice(points, plan)), [])
-    return count, h, gs, (_plan(h.dim, h.degree, degs, sign, rows) for rows in chunks)
+    return count, h, gs, (_plan(h.dim, h.degree, degs, sign, rows) for rows in chunks), degree
 
 
-def _sum(like: MultiOp, degree: int, parts) -> MultiOp:
-    """The op of the given degree, dim and variance of like, whose
-    coefficients are all terms of the parts, added in order.
+def _sum(parts) -> MultiOp:
+    """The op of the dim, variance, backend and degree of the first part,
+    whose coefficients are all terms of the parts, added in order.
 
-    A part (count, h, gs, plans) is count terms of h{gs}, one stack per plan.
-    An exact sum runs on int64 when its bound (_bound) is below _INT_LIMIT.
+    A part (count, h, gs, plans, degree) is count terms of h{gs}, one stack
+    per plan; an exact sum runs on int64 when its _bound is below _INT_LIMIT.
     """
+    _, like, _, _, degree = parts[0]
     bound = _bound(parts) if like.backend == EXACT else None
     total = None
-    for _, h, gs, plans in parts:
+    for _, h, gs, plans, _ in parts:
         ops = (h, *gs)
         if bound is None:
             arrays = [op.coeffs for op in ops]
@@ -423,7 +442,7 @@ def _bound(parts):
     A term of h{g1..gk} is bounded by bound(h) * prod(bound(gj) * dim).
     """
     total = 0
-    for count, h, gs, _ in parts:
+    for count, h, gs, _, _ in parts:
         term = count * h.dim ** len(gs)
         for op in (h, *gs):
             ints = op._ints

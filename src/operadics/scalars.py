@@ -47,11 +47,6 @@ def parse_exact(text: str) -> Fraction:
     raise ParseError(f"bad exact scalar {reprlib.repr(text)}: {reason}")
 
 
-def format_float(value: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return f"{value:.17g}"
-
-
 def read_json(path):
     """The JSON document in the UTF-8 file at path.  A file that cannot be
     read, bytes that are not UTF-8, invalid JSON, an integer literal over

@@ -22,7 +22,6 @@ from operadics import cli
 from operadics.bundled import BUNDLED_FILES, bundled_path
 from operadics.cohomology import load_algebra
 from operadics.errors import ConfigError
-from operadics.scalars import format_float
 
 
 def run_cli(*args, timeout=120):
@@ -353,7 +352,7 @@ def test_csv_rows_have_the_bytes_of_format_float():
     values = [0.0, -0.0, 0.1, -1.5e-300, 5e-324, 1e300, math.pi, 2.0**60]
     values += [math.nan, math.inf, -math.inf]
     pieces = cli._csv([f"c{k}" for k in range(len(values))], np.array([values] * 2))
-    row = ",".join(format_float(v) for v in values)
+    row = ",".join(f"{v:.17g}" for v in values)
     assert "".join(pieces).splitlines()[1:] == [row, row]
 
 

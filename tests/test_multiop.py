@@ -20,10 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from operadics import multiop
 from operadics.braces import bracket, brace
+from operadics.bundled import bundled_path
 from operadics.cohomology import (
     AlgebraSpec,
+    betti_table,
     cocycle_basis,
     is_coboundary,
+    load_algebra,
     random_cocycle,
 )
 from operadics.errors import (
@@ -310,6 +313,27 @@ def test_mixing_backends_raises():
         MultiOp(2, 0, ENDO, [1.5, Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, float])
+def test_every_float_scalar_on_an_exact_op_is_refused(kind):
+    # only float and its subclass np.float64 were refused: np.float32 made
+    # a float-backend op out of an exact one
+    for f in (MultiOp(2, 1, ENDO, [1, 2, 3, 4]), MultiOp(1, 0, ENDO, [Fraction(1, 2)])):
+        with pytest.raises(BackendMismatchError, match="float scalar on an exact operand"):
+            scale(kind(2), f)
+
+
+def test_an_unknown_backend_is_refused():
+    # every name but "float" used to make an exact op
+    makers = [
+        lambda backend: zero_op(2, 1, backend=backend),
+        lambda backend: identity_op(2, backend=backend),
+        lambda backend: random_op(random.Random(0), 2, 1, backend=backend),
+    ]
+    for make in makers:
+        with pytest.raises(BackendMismatchError, match="unknown backend 'decimal'"):
+            make("decimal")
+
+
 def test_shape_and_variance_errors():
     with pytest.raises(VarianceMismatchError, match="unknown variance 'sideways'"):
         zero_op(2, 1, "sideways")
@@ -592,7 +616,7 @@ def test_partial_compose_equals_its_brace_term_on_floats():
         f = random_op(rng, 2, m, ENDO, FLOAT)
         for n in (1, 2):
             g = random_op(rng, 2, n, ENDO, FLOAT)
-            _, _, _, plans = _terms(f, (g,))
+            _, _, _, plans, _ = _terms(f, (g,))
             stacks = [_evaluate(plan, (f.coeffs, g.coeffs)) for plan in plans]
             terms = np.concatenate(stacks)
             for i in range(m):
@@ -727,6 +751,17 @@ def test_compose_error_conditions():
         partial_compose(zero_op(2, 0), k, 0)
 
 
+def test_a_slot_that_is_not_an_integer_is_refused():
+    # the plan's intp slots cut 1.5 down to 1, and the plan cache kept a
+    # second entry for it; numpy integers and bool are integers
+    f, g = random_op(random.Random(0), 2, 3, ENDO), random_op(random.Random(1), 2, 1, ENDO)
+    for slot in (1.5, 1.0, "1", None):
+        with pytest.raises(SlotOutOfRangeError, match="is not an integer"):
+            partial_compose(f, g, slot)
+    assert partial_compose(f, g, np.int64(1)) == partial_compose(f, g, True)
+    assert partial_compose(f, g, True) == partial_compose(f, g, 1)
+
+
 def test_size_cap_enforced():
     with pytest.raises(SizeCapError):
         zero_op(2, 16)
@@ -745,6 +780,35 @@ def test_a_degree_of_the_size_cap_is_refused_at_every_dim():
     g = zero_op(1, SIZE_CAP // 2 + 1)
     with pytest.raises(SizeCapError, match="composition result is over the size cap"):
         partial_compose(g, g, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "MultiOp(2, 1.0, ENDO, [1, 2, 3, 4])",
+        "MultiOp(2.0, 1, ENDO, [1, 2, 3, 4])",
+        "zero_op(2, 1.0)",
+        "zero_op(2, Fraction(10**100, 3))",
+        "identity_op(2.0)",
+        "random_op(random.Random(0), 2, 1.5)",
+        "betti_table(dual, 2.0)",
+        "cocycle_basis(dual, 1.0)",
+        # a kept basis of degree 1 is found by the key 1.0 as well
+        "cocycle_basis(warm, 1.0)",
+        "random_cocycle(random.Random(0), warm, 1.0)",
+    ],
+)
+def test_a_dim_or_degree_that_is_not_an_integer_is_a_shape_error(call):
+    # a float degree once made an op of degree 1.0 or ended in a bare
+    # TypeError; the error is one short line, and numpy integers and bool pass
+    dual = load_algebra(bundled_path("dual_numbers.json"))
+    warm = load_algebra(bundled_path("dual_numbers.json"))
+    cocycle_basis(warm, 1)
+    with pytest.raises(ShapeMismatchError, match="must be integers") as err:
+        eval(call)
+    assert "\n" not in str(err.value) and len(str(err.value)) < 100
+    assert MultiOp(np.int64(2), True, ENDO, [1, 2, 3, 4]).degree == 1
+    assert zero_op(np.int32(2), np.uint8(1)) == zero_op(2, 1)
 
 
 # Each call runs in a child under a 1 GiB address-space limit: without the
