@@ -28,11 +28,14 @@ is_coboundary and cocycle_basis keep the full complex.
 
 The full-complex matrix of each degree that is_coboundary and cocycle_basis
 solve against, and each integer cocycle basis, depend only on the spec and
-the degree, so each is computed once and kept on its AlgebraSpec, up to
-_KEPT_BYTES (16 MiB) per spec; a result that would pass it is computed on
-every call.  Nothing kept leaves this module: coboundary_matrix builds a
-new matrix that the caller owns, and cocycle_basis returns a new list of
-new ops on read-only arrays.
+the degree.  So each matrix is built and eliminated once, and the
+elimination is kept on its AlgebraSpec: the reduced rows, the pivots and
+the row steps the elimination took.  A preimage replays those steps on its
+target alone, and a basis reads its kernel from the same pivots.  Each
+basis is kept too, up to _KEPT_BYTES (16 MiB) of kept results per spec; a
+result that would pass it is computed on every call.  Nothing kept leaves
+this module: coboundary_matrix builds a new matrix that the caller owns,
+and cocycle_basis returns a new list of new ops on read-only arrays.
 
 The complex only makes sense when mu is associative (the coboundary squares
 to the action of the associator tensor); betti_table refuses non-associative
@@ -49,6 +52,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,9 +122,9 @@ class AlgebraSpec:
 
     @cached_property
     def _kept(self) -> dict:
-        """(kind, degree) -> (result, its bytes): the full-complex coboundary
-        matrices and cocycle bases computed for this spec, within
-        _KEPT_BYTES in all (see _kept_result)."""
+        """(kind, degree) -> (result, its bytes): the eliminations of the
+        full-complex coboundary matrices and the cocycle bases computed for
+        this spec, within _KEPT_BYTES in all (see _kept_result)."""
         return {}
 
 
@@ -132,7 +136,7 @@ class CoboundaryMatrix:
     of basis element r of the target in the coboundary of basis element c of
     the source: the form that elimination reads.  It reads these very dicts,
     without a copy, and never writes to them.  coboundary_matrix builds a
-    new matrix on each call, which the caller owns; the matrices that
+    new matrix on each call, which the caller owns; the eliminations that
     is_coboundary and cocycle_basis keep on a spec are never handed out.
     """
 
@@ -277,15 +281,16 @@ def _exact(values) -> list:
     return values
 
 
-def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
-    """Sparse integer rows of a CoboundaryMatrix or of dense rows, and the
-    column count ncols.
+def _rows(matrix) -> tuple[list[dict], int, list[int] | None]:
+    """Sparse integer rows of a CoboundaryMatrix or of dense rows, the
+    column count ncols, and the multiplier of each row (None for rows of
+    Python ints).
 
-    Row r maps each column of a nonzero entry to that entry, with rhs[r], if
-    nonzero, as column ncols.  When every value is a Python int the rows
-    are handed over as they are, so an integral CoboundaryMatrix reaches
-    _reduce as its own dicts, which _reduce only reads.  Otherwise each row
-    is scaled by the lcm of its denominators into a new dict of ints.
+    Row r maps each column of a nonzero entry to that entry.  When every
+    value is a Python int the rows are handed over as they are, so an
+    integral CoboundaryMatrix reaches _reduce as its own dicts, which
+    _reduce only reads.  Otherwise each row is scaled by the lcm of its
+    denominators, its multiplier, into a new dict of ints.
     """
     if isinstance(matrix, CoboundaryMatrix):
         ncols, rows = matrix.cols, list(matrix.sparse_rows)
@@ -295,37 +300,41 @@ def _rows(matrix, rhs=()) -> tuple[list[dict], int]:
         if any(len(row) != ncols for row in dense):
             raise ShapeMismatchError(f"dense rows of unequal length, first has {ncols}")
         rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
-    for r, value in zip(range(len(rows)), rhs):
-        if value:
-            rows[r] = {**rows[r], ncols: value}
     if all(type(x) is int for row in rows for x in row.values()):
-        return rows, ncols
-    return [_integral(row) for row in rows], ncols
+        return rows, ncols, None
+    scaled = [_integral(row) for row in rows]
+    return [row for row, _ in scaled], ncols, [mult for _, mult in scaled]
 
 
-def _integral(row: dict) -> dict:
-    """A sparse row of exact values times the lcm of its denominators."""
+def _integral(row: dict) -> tuple[dict, int]:
+    """A sparse row of exact values times the lcm of its denominators, and
+    that lcm."""
     mult = math.lcm(*[x.denominator for x in row.values()])
-    return {c: int(x.numerator) * (mult // x.denominator) for c, x in row.items()}
+    return {c: int(x.numerator) * (mult // x.denominator) for c, x in row.items()}, mult
 
 
-def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
-    """Integer Gauss-Jordan elimination of sparse integer rows.
+def _reduce(rows: list[dict], width: int) -> tuple[dict[int, int], list[int]]:
+    """Integer Gauss-Jordan elimination of sparse integer rows, in place.
 
-    Returns the pivot columns, ascending, each with its row of the reduced
-    row echelon form.  The pivot of column c is the lowest-index row not yet
-    a pivot with an entry in c; every other row with an entry in c, above or
-    below, becomes a * row - f * pivot_row and is divided by its gcd, so the
-    entries stay small.  users[c] lists at least the rows with an entry in
-    column c: fill-in appends to it, and rows that lost the entry are skipped.
-    Each updated row is a new dict bound to rows[r]; no dict that was passed
-    in is written to, so the rows of a matrix can be passed without a copy.
+    Returns the pivots, a dict from each pivot row to its column in
+    ascending column order, and the row steps taken.  The pivot of column c
+    is the lowest-index row p not yet a pivot with an entry a in c; every
+    other row r with an entry f in c, above or below, becomes
+    (a * row - f * pivot_row) / g, with g the gcd of the result, so the
+    entries stay small.  Each step appends the five ints r, p, a, f, g to
+    one flat list, in order; g is 0 for a row that became all zeros and 1
+    for one that was not divided.  users[c] lists at least the rows with an
+    entry in column c: fill-in appends to it, and rows that lost the entry
+    are skipped.  Each updated row is a new dict bound to rows[r]; no dict
+    that was passed in is written to, so the rows of a matrix can be passed
+    without a copy.
     """
     users = [[] for _ in range(width)]
     for r, row in enumerate(rows):
         for c in row:
             users[c].append(r)
     pivots = {}  # pivot row -> its column
+    steps = []
     for c in range(width):
         p = min((r for r in users[c] if c in rows[r] and r not in pivots), default=None)
         if p is None:
@@ -350,53 +359,86 @@ def _reduce(rows: list[dict], width: int) -> list[tuple[int, dict]]:
                     new[k] = -f * v
                     users[k].append(r)
             g = math.gcd(*new.values())
-            if g > 1:  # a row that became all zeros has gcd 0
+            if g > 1:
                 new = {k: v // g for k, v in new.items()}
+            elif not g:  # a new empty dict, not the emptied table of a copy
+                new = {}
             rows[r] = new
-    return [(c, rows[p]) for p, c in pivots.items()]
+            steps += (r, p, a, f, g)
+    return pivots, steps
+
+
+class _Echelon(NamedTuple):
+    """One elimination of a matrix: its reduced integer rows, its column
+    count, the multiplier of each row (None for rows of Python ints), its
+    pivots and its row steps, as _rows and _reduce give them.  A right-hand
+    side that is scaled by the multipliers and takes the steps is reduced
+    as the rows were, so one elimination serves every solve and the
+    kernel."""
+
+    rows: list[dict]
+    ncols: int
+    mults: list[int] | None
+    pivots: dict[int, int]
+    steps: list[int]
+
+
+def _echelon(matrix) -> _Echelon:
+    """The elimination of a matrix, or the given one: every solver reads it."""
+    if isinstance(matrix, _Echelon):
+        return matrix
+    rows, ncols, mults = _rows(matrix)
+    return _Echelon(rows, ncols, mults, *_reduce(rows, ncols))
 
 
 def exact_rank(matrix) -> int:
     """Rank of an exact matrix: its pivot count."""
-    return len(_reduce(*_rows(matrix)))
+    return len(_echelon(matrix).pivots)
 
 
 def solve_linear(matrix, rhs):
     """One exact solution x of M x = rhs, or None if inconsistent.
 
-    Free variables are 0.  The rhs is reduced as the last column, where a
-    pivot means no solution.  A nonzero rhs entry on an all-zero row means
-    none too, found before any elimination.
+    Free variables are 0.  M is a matrix or its _Echelon, which is then not
+    eliminated again.  The rhs, times the row multipliers, replays the row
+    steps of the elimination, as Fractions where a step divides by g > 1.
+    A nonzero entry left on a row without a pivot means no solution;
+    otherwise the pivot row p of column c gives x[c] = rhs[p] / row[c].
     """
     rhs = _exact(rhs)
-    rows, ncols = _rows(matrix, rhs)
+    rows, ncols, mults, pivots, steps = _echelon(matrix)
     if len(rhs) != len(rows):
         raise ShapeMismatchError(
             f"{len(rhs)} right-hand side entries for {len(rows)} rows"
         )
-    if any(len(row) == 1 and ncols in row for row in rows):
+    b = [x if type(x) is int else Fraction(int(x.numerator), int(x.denominator)) for x in rhs]
+    if mults is not None:
+        b = [x * mult for x, mult in zip(b, mults)]
+    step = iter(steps)
+    for r, p, a, f, g in zip(step, step, step, step, step):
+        v = a * b[r] - f * b[p]
+        b[r] = Fraction(v, g) if g > 1 else v
+    if any(x for r, x in enumerate(b) if r not in pivots):
         return None
     x = [Fraction(0)] * ncols
-    for p, row in _reduce(rows, ncols + 1):
-        if p == ncols:
-            return None
-        x[p] = Fraction(row.get(ncols, 0), row[p])
+    for p, c in pivots.items():
+        x[c] = Fraction(b[p], rows[p][c])
     return x
 
 
 def nullspace(matrix) -> list[dict[int, Fraction]]:
-    """Basis of the exact kernel as sparse vectors {column: Fraction}, one per
-    free column in column order, holding only nonzeros: the vector of free
-    column f has 1 at f and -row[f] / row[p] at the pivot column p of each
-    reduced row that holds f."""
-    rows, ncols = _rows(matrix)
-    pivots = _reduce(rows, ncols)
-    pivot_cols = {p for p, _ in pivots}
+    """Basis of the exact kernel of a matrix, or of its _Echelon, as sparse
+    vectors {column: Fraction}, one per free column in column order, holding
+    only nonzeros: the vector of free column f has 1 at f and
+    -row[f] / row[c] at the pivot column c of each reduced row that holds f."""
+    rows, ncols, _, pivots, _ = _echelon(matrix)
+    pivot_cols = set(pivots.values())
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_cols}
-    for p, row in pivots:
+    for p, c in pivots.items():
+        row = rows[p]
         for f, value in row.items():
-            if f != p:
-                basis[f][p] = Fraction(-value, row[p])
+            if f != c:
+                basis[f][c] = Fraction(-value, row[c])
     return list(basis.values())
 
 
@@ -474,10 +516,11 @@ def betti_table(spec: AlgebraSpec, n_max: int | None = None) -> BettiTable:
 
 
 # Bytes of kept results per spec, as _nbytes counts them.  The perfbench
-# preimage pass keeps 80 KiB per spec and the verify cocycle suites 16 KiB.
-# 16 MiB, about half of what a fresh interpreter with operadics imported
-# takes, holds every dual numbers matrix through n = 11 together with every
-# basis through n = 9 (8.1 MiB); the basis of n = 11 alone counts 43 MiB.
+# preimage pass keeps 109 KiB on its mat2 spec and 41 KiB on its dual
+# numbers spec, and the verify cocycle suites 18 KiB.  16 MiB, about half
+# of what a fresh interpreter with operadics imported takes, holds every
+# dual numbers elimination through n = 11 together with every basis through
+# n = 9 (11.1 MiB); the basis of n = 11 alone counts 43 MiB.
 _KEPT_BYTES = 2**24
 
 
@@ -497,14 +540,17 @@ def _kept_result(spec: AlgebraSpec, kind: str, degree: int, build):
 
 
 def _nbytes(result) -> int:
-    """An upper bound on the bytes a kept matrix or basis holds: its
+    """An upper bound on the bytes a kept elimination or basis holds: its
     containers, arrays and scalars, each int counted once per place that
     holds it, even a small int that Python shares."""
     size = sys.getsizeof
-    if isinstance(result, CoboundaryMatrix):
-        return size(result) + size(vars(result)) + size(result.sparse_rows) + sum(
-            size(row) + sum(map(size, row)) + sum(map(size, row.values()))
-            for row in result.sparse_rows
+    if isinstance(result, _Echelon):
+        rows, ncols, mults, pivots, steps = result
+        dicts = [*rows, pivots]  # the pivots map ints to ints, as rows do
+        return (
+            size(result) + size(rows) + size(mults) + size(steps)
+            + sum(size(d) + sum(map(size, d)) + sum(map(size, d.values())) for d in dicts)
+            + sum(map(size, [ncols, *(mults or ()), *steps]))
         )
     total = size(result)
     for pair in result:
@@ -515,22 +561,23 @@ def _nbytes(result) -> int:
     return total
 
 
-def _kept_matrix(spec: AlgebraSpec, n: int) -> CoboundaryMatrix:
-    """The full-complex coboundary matrix of degree n, kept on the spec:
-    only read, by solve_linear and nullspace."""
-    return _kept_result(spec, "matrix", n, lambda: coboundary_matrix(spec, n))
+def _kept_echelon(spec: AlgebraSpec, n: int) -> _Echelon:
+    """The elimination of the full-complex coboundary matrix of degree n,
+    kept on the spec: only read, by solve_linear and nullspace."""
+    return _kept_result(spec, "echelon", n, lambda: _echelon(coboundary_matrix(spec, n)))
 
 
 def is_coboundary(spec: AlgebraSpec, f: MultiOp):
     """A preimage g with coboundary(mu, g) = f, or None if f is not exact.
 
     Only degrees >= 1 are meaningful: nothing maps into degree 0.  The
-    matrix of degree f.degree - 1 is built once per spec (see _kept_result).
+    matrix of degree f.degree - 1 is built and eliminated once per spec (see
+    _kept_result); each call replays the kept row steps on f alone.
     """
     _require_associative(spec)
     if f.degree < 1:
         raise DegreeMismatchError("degree-0 operations have no preimage degree")
-    solution = solve_linear(_kept_matrix(spec, f.degree - 1), _arrays((f,))[0].tolist())
+    solution = solve_linear(_kept_echelon(spec, f.degree - 1), _arrays((f,))[0].tolist())
     if solution is None:
         return None
     return MultiOp(spec.dim, f.degree - 1, f.variance, solution)
@@ -556,11 +603,11 @@ def _cocycles(spec: AlgebraSpec, degree: int) -> tuple:
 
 
 def _basis(spec: AlgebraSpec, degree: int) -> tuple:
-    matrix = _kept_matrix(spec, degree)
+    echelon = _kept_echelon(spec, degree)
     basis = []
-    for vec in map(_integral, nullspace(matrix)):
+    for vec, _ in map(_integral, nullspace(echelon)):
         values, bound = _coefficients(list(vec.values()))
-        arr = np.zeros(matrix.cols, values.dtype)
+        arr = np.zeros(echelon.ncols, values.dtype)
         arr[list(vec)] = values
         arr.setflags(write=False)
         basis.append((arr, bound))

@@ -54,6 +54,7 @@ from .multiop import (
     EXACT,
     FLOAT,
     MultiOp,
+    _is_float,
     add,
     allclose,
     apply,
@@ -93,8 +94,7 @@ class SuiteConfig:
             raise ConfigError(
                 f"cases must be in 0..{MAX_CASES}, got {reprlib.repr(self.cases)}"
             )
-        if self.backend not in (EXACT, FLOAT):
-            raise ConfigError(f"unknown backend {self.backend!r}")
+        _is_float(self.backend)
         if not self.tol >= 0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
 

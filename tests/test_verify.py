@@ -5,7 +5,7 @@ negative-control hook that proves failures are actually detectable.
 import pytest
 
 from operadics import multiop
-from operadics.errors import ConfigError
+from operadics.errors import BackendMismatchError, ConfigError
 from operadics.multiop import COENDO, FLOAT
 from operadics.verify import (
     MAX_CASES,
@@ -108,7 +108,7 @@ def test_unknown_suite_and_bad_configs_raise():
     with pytest.raises(ConfigError):
         SuiteConfig(cases=MAX_CASES + 1)
     assert SuiteConfig(cases=MAX_CASES).cases == MAX_CASES
-    with pytest.raises(ConfigError):
+    with pytest.raises(BackendMismatchError, match="unknown backend 'decimal'"):
         SuiteConfig(backend="decimal")
     with pytest.raises(ConfigError):
         SuiteConfig(tol=-1.0)
