@@ -276,7 +276,7 @@ def _exact(values) -> list:
     they take one input domain.
     """
     values = list(values)
-    if not all(hasattr(x, "denominator") for x in values):
+    if not all(hasattr(kind, "denominator") for kind in set(map(type, values))):
         raise BackendMismatchError("exact entries expected")
     return values
 

@@ -22,20 +22,21 @@ Every contraction runs on one kernel, the index plan of a brace signature
 (dim, deg h, deg g1..deg gk, sign), compiled once.  Stage j gathers, for
 every live prefix of insertion points, the slot gj fills as the last axis
 of a stack, and one matmul with gj as a (dim, dim**deg gj) matrix computes
-the stage.  A plan with terms of both signs gathers its last stage from
-[P, -P], so each term's Koszul sign is a choice of index; a plan whose
-terms are all negative gathers from P and negates the result in place.
-partial_compose is the plan of one term.  A sum whose stacks would exceed
-_STACK_ENTRIES runs in chunks of terms, and only plans of at most
-_CACHED_ENTRIES indices are kept.
+the stage.  The output index reads every term from the last product P,
+and a plan with a negative term carries each term's Koszul sign as an
+int64 weight of 1 or -1: an exact sum of terms is one product of the
+weights with the stack, a float one signs the stack in place and adds its
+terms in order.  partial_compose is the plan of one term.  A sum whose
+stacks would exceed _STACK_ENTRIES runs in chunks of terms, and only plans
+of at most _CACHED_ENTRIES indices are kept.
 
 Exact coefficients never overflow.  An exact op whose entries are all ints
 holds them as int64 together with a Python-int bound on their magnitude; a
 contraction's bound is bound(h) * prod(bound(gj) * dim) * terms, a sum's is
 the sum of the bounds, and scaling by k multiplies it by |k|.  Contractions,
-add, scale, == and is_zero run on int64 while the result's bound stays below
-_INT_LIMIT; Fractions, larger values and larger results take Python ints and
-Fractions in object arrays.  Every exact op gets its form when it is made:
+add, sub, scale, == and is_zero run on int64 while the result's bound stays
+below _INT_LIMIT; Fractions, larger values and larger results take Python
+ints and Fractions in object arrays.  Every exact op gets its form when it is made:
 _coefficients decides it for given coefficients and for object results, and
 int64 results carry their bounds.  The public coeffs of an exact op is always
 an object array of Python ints and Fractions, made on first read for an int64
@@ -296,17 +297,23 @@ def is_zero(f: MultiOp) -> bool:
 
 
 def add(f: MultiOp, g: MultiOp) -> MultiOp:
+    return _combine(f, g, operator.add)
+
+
+def sub(f: MultiOp, g: MultiOp) -> MultiOp:
+    return _combine(f, g, operator.sub)
+
+
+def _combine(f: MultiOp, g: MultiOp, op) -> MultiOp:
+    """f + g or f - g, op being operator.add or operator.sub: on int64 with
+    the bound bf + bg while that is below _INT_LIMIT, else on coeffs."""
     _check_pair(f, g)
     if f.degree != g.degree:
         raise DegreeMismatchError(f"degree {f.degree} vs {g.degree}")
     a, b = f._ints, g._ints
     if a is not None and b is not None and a[1] + b[1] < _INT_LIMIT:
-        return MultiOp._wrap(f.dim, f.degree, f.variance, a[0] + b[0], a[1] + b[1])
-    return _result(f, f.degree, f.coeffs + g.coeffs)
-
-
-def sub(f: MultiOp, g: MultiOp) -> MultiOp:
-    return add(f, scale(-1, g))
+        return MultiOp._wrap(f.dim, f.degree, f.variance, op(a[0], b[0]), a[1] + b[1])
+    return _result(f, f.degree, op(f.coeffs, g.coeffs))
 
 
 def scale(s, f: MultiOp) -> MultiOp:
@@ -323,10 +330,11 @@ def scale(s, f: MultiOp) -> MultiOp:
     return _result(f, f.degree, s * f.coeffs)
 
 
-def _result(like: MultiOp, degree: int, arr: np.ndarray, bound=None) -> MultiOp:
-    """The op of the dim and variance of like holding a computed array: int64
-    within bound, float64, or object, which takes the form _coefficients gives."""
-    if bound is None and arr.dtype.hasobject:
+def _result(like: MultiOp, degree: int, arr: np.ndarray) -> MultiOp:
+    """The op of the dim and variance of like holding a computed float64 or
+    object array; an object array takes the form _coefficients gives."""
+    bound = None
+    if arr.dtype.hasobject:
         arr, bound = _coefficients(arr.tolist())
     return MultiOp._wrap(like.dim, degree, like.variance, arr, bound)
 
@@ -356,10 +364,20 @@ def random_op(
 ) -> MultiOp:
     """Draw a random op: exact entries uniform in -3..3, float in [-1, 1)."""
     size = _checked_size(dim, degree, variance)
+    # rng.uniform(-1.0, 1.0) is -1.0 + 2.0 * random(), and rng.randint(-3, 3)
+    # is -3 + the first getrandbits(3) below 7: the same values from the same
+    # random bits, without their Python frames per value
     if _is_float(backend):
-        data = np.array([rng.uniform(-1.0, 1.0) for _ in range(size)])
+        draw = rng.random
+        data = np.array([draw() for _ in range(size)]) * 2.0 - 1.0
         return MultiOp._wrap(dim, degree, variance, data)
-    data = np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64)
+    bits, draws = rng.getrandbits, []
+    for _ in range(size):
+        r = bits(3)
+        while r == 7:
+            r = bits(3)
+        draws.append(r)
+    data = np.array(draws, dtype=np.int64) - 3
     return MultiOp._wrap(dim, degree, variance, data, 3)
 
 
@@ -393,16 +411,19 @@ def _terms(h: MultiOp, gs, sign: int = 1, slots: tuple = ()):
     sum without terms, else SizeCapError for a sum over WORK_CAP or for the
     first stage over SIZE_CAP.
     """
-    for outer, inner in zip((h, *gs), gs):
-        _check_pair(outer, inner)
+    # the pairs (h, g1), (g1, g2), ... are checked in order; every operand
+    # before the first unlike h is like h, so (h, g) raises that pair's error
+    shape = (h.dim, h.variance, h.backend)
+    for g in gs:
+        if (g.dim, g.variance, g.backend) != shape:
+            _check_pair(h, g)
     degs = tuple([g.degree for g in gs])
-    degree = h.degree + sum(degs) - len(degs)
     if len(gs) > h.degree:
+        degree = h.degree + sum(degs) - len(degs)
         if degree < 0:
             raise DegreeUnderflowError(f"result would have degree {degree}")
         h, gs, degs, sign = zero_op(h.dim, degree, h.variance, h.backend), (), (), 1
-    count = 1 if slots else math.comb(h.degree, len(gs))
-    plan = _compile(h.dim, h.degree, degs, sign, slots)
+    count, degree, plan = _compile(h.dim, h.degree, degs, sign, slots)
     if not isinstance(plan, int):
         return count, h, gs, (plan,), degree
     points = iter([slots]) if slots else combinations(range(h.degree), len(gs))
@@ -416,9 +437,12 @@ def _sum(parts) -> MultiOp:
 
     A part (count, h, gs, plans, degree) is count terms of h{gs}, one stack
     per plan; an exact sum runs on int64 when its _bound is below _INT_LIMIT.
+    Exact sums do not depend on order, so one product with a plan's weights
+    signs and adds an exact stack; a float stack is signed in place.
     """
     _, like, _, _, degree = parts[0]
-    bound = _bound(parts) if like.backend == EXACT else None
+    exact = like.backend == EXACT
+    bound = _bound(parts) if exact else None
     total = None
     for _, h, gs, plans, _ in parts:
         ops = (h, *gs)
@@ -427,11 +451,17 @@ def _sum(parts) -> MultiOp:
         else:
             arrays = [op._ints[0] for op in ops]
         for plan in plans:
-            stack = _evaluate(plan, arrays)
+            stack, weights = _evaluate(plan, arrays), plan[1]
+            if weights is not None and exact:
+                stack = (weights @ stack)[None]
+            elif weights is not None:
+                stack *= weights[:, None]
             if total is not None:
                 stack[0] += total
             total = stack[0] if len(stack) == 1 else np.add.reduce(stack)
-    return _result(like, degree, total, bound)
+    if exact and bound is None:
+        return _result(like, degree, total)
+    return MultiOp._wrap(like.dim, degree, like.variance, total, bound)
 
 
 def _bound(parts):
@@ -463,10 +493,12 @@ def _on_object_path():
 
 @lru_cache(maxsize=_PLAN_CACHE)
 def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
-    """The plan of a signature with deg_h >= len(degs), or of its one term at
-    the given original slots of h, or, when its stacks or its indices are too
-    large to keep, the number of terms per chunk.  Insertions over WORK_CAP
-    and stages over SIZE_CAP are refused before any plan is built."""
+    """The record (count, degree, plan) of a signature with deg_h >= len(degs),
+    or of its one term at the given original slots of h: its number of
+    terms, the degree of its result, and its plan, or, when its stacks or
+    its indices are too large to keep, the number of terms per chunk.
+    Insertions over WORK_CAP and stages over SIZE_CAP are refused before
+    any plan is built."""
     k = len(degs)
     count = 1 if slots else math.comb(deg_h, k)
     if count * k > WORK_CAP:
@@ -478,23 +510,18 @@ def _compile(d: int, deg_h: int, degs: tuple, sign: int, slots: tuple = ()):
     per_chunk = max(1, _STACK_ENTRIES // (2 * max(sizes)))
     if count <= per_chunk and count * sum(sizes) <= _CACHED_ENTRIES:
         rows = [slots] if slots else list(combinations(range(deg_h), k))
-        return _plan(d, deg_h, degs, sign, rows)
-    return per_chunk
+        return count, degree, _plan(d, deg_h, degs, sign, rows)
+    return count, degree, per_chunk
 
 
 def _evaluate(plan, arrays) -> np.ndarray:
-    """The (terms, coefficients) stack of one plan's signed terms, given the
-    coefficient arrays of h and of the gs."""
-    gathers, signs, out = plan
+    """The (terms, coefficients) stack of one plan's terms before their
+    signs, given the coefficient arrays of h and of the gs."""
+    gathers, _, out = plan
     src = arrays[0]
     for index, g in zip(gathers, arrays[1:]):
         src = np.matmul(src[index], g.reshape(index.shape[1], -1)).reshape(-1)
-    if signs == 0:
-        src = np.concatenate((src, -src))
-    stack = src[out]
-    if signs < 0:
-        np.negative(stack, out=stack)
-    return stack
+    return src[out]
 
 
 def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
@@ -505,9 +532,9 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
     prefix of insertion points, a layout: the flat position in the stage's
     product of every coefficient of the prefix's partial result.  Both
     index maps of a stage are transposes, one per insertion point.  Returns
-    (one gather index per stage, signs, output index): signs is 1 when every
-    term is positive, -1 when every term is negative, and 0 when the output
-    index reads the signed terms from [P, -P].
+    (one gather index per stage, weights, output index): weights is None
+    when every term is positive, else the int64 sign, 1 or -1, of each term,
+    and the output index reads every term from the last product P.
     """
     slots = np.array(rows, dtype=np.intp).reshape(len(rows), len(degs))
     slots += np.cumsum((0,) + tuple(n - 1 for n in degs[:-1]))
@@ -540,12 +567,13 @@ def _plan(d: int, deg_h: int, degs: tuple, sign: int, rows):
         m += n - 1
     odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
     negative = odd if sign > 0 else ~odd
-    signs = -1 if negative.all() else 0 if negative.any() else 1
-    if signs == 0:
-        layout += negative[:, None] * layout.size
+    weights = None
+    if negative.any():
+        weights = 1 - 2 * negative.astype(np.int64)
+        weights.setflags(write=False)
     for index in (*gathers, layout):
         index.setflags(write=False)
-    return tuple(gathers), signs, layout
+    return tuple(gathers), weights, layout
 
 
 def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:
@@ -561,5 +589,5 @@ def apply(f: MultiOp, vectors: Sequence[Sequence]) -> np.ndarray:
         vv = np.asarray(v, dtype=object if exact else np.float64).reshape(-1)
         if vv.size != d:
             raise DimMismatchError(f"vector of length {vv.size}, dim is {d}")
-        arg = np.kron(arg, vv)
+        arg = np.multiply.outer(arg, vv).reshape(-1)
     return f.coeffs.reshape(d, d**f.degree) @ arg

@@ -1,13 +1,15 @@
-"""Closed-form oracles shared by the oscillator and acceptance tests, and
-the derivation deviations of the coboundary written out term by term."""
+"""Closed-form oracles shared by the oscillator and acceptance tests, the
+derivation deviations of the coboundary written out term by term, and the
+random draws of random_op one library call per value."""
 
 import math
+import random
 
 import numpy as np
 
 from operadics.braces import cup, total_compose, tribrace
 from operadics.coboundary import coboundary
-from operadics.multiop import ENDO, MultiOp, scale, sub
+from operadics.multiop import ENDO, FLOAT, MultiOp, scale, sub
 from operadics.oscillator import OscillatorParams
 from operadics.scalars import sign_pow
 
@@ -70,3 +72,11 @@ def cup_deviation(mu: MultiOp, f: MultiOp, g: MultiOp) -> MultiOp:
         sub(coboundary(mu, cup(mu, f, g)), cup(mu, f, coboundary(mu, g))),
         scale(sign_pow(g.degree), cup(mu, coboundary(mu, f), g)),
     )
+
+
+def drawn_coefficients(rng: random.Random, size: int, backend: str) -> list:
+    """The coefficients random_op draws for size entries: rng.randint(-3, 3)
+    per exact entry, rng.uniform(-1.0, 1.0) per float entry."""
+    if backend == FLOAT:
+        return [rng.uniform(-1.0, 1.0) for _ in range(size)]
+    return [rng.randint(-3, 3) for _ in range(size)]

@@ -317,7 +317,8 @@ def test_brace_computes_no_dead_insertions():
     # every product a stage computes is a prefix of some term: with four
     # slots and degree-1 operands that is 2 first, 3 second and C(4, 3) = 4
     # third insertions (in dim 1 each prefix gathers one row)
-    gathers, _, _ = multiop._compile(1, 4, (1, 1, 1), 1)
+    count, degree, (gathers, _, _) = multiop._compile(1, 4, (1, 1, 1), 1)
+    assert (count, degree) == (4, 4)
     assert [len(index) for index in gathers] == [2, 3, 4]
     one = _scalar(1, 1)
     assert brace(_scalar(1, 4), one, one, one).coeffs[0] == 4

@@ -370,6 +370,20 @@ def test_exact_solvers_take_only_exact_entries():
         coboundary_matrix(float_spec, 0)
 
 
+def test_exact_entries_are_decided_by_their_types():
+    # every value of an exact type passes, alone or mixed; one value of an
+    # inexact type fails the whole list, wherever it stands
+    exact = [3, True, Fraction(1, 3), np.int64(-2), np.int8(1), np.uint64(2**63)]
+    assert cohomology._exact(iter(exact)) == exact
+    assert cohomology._exact([]) == []
+    for bad in (0.5, np.float64(1), 1j, np.bool_(True)):
+        for values in ([bad], exact + [bad], [bad] + exact):
+            with pytest.raises(BackendMismatchError, match="exact entries expected"):
+                cohomology._exact(values)
+        with pytest.raises(BackendMismatchError, match="exact entries expected"):
+            solve_linear([[1, 0], [0, 1]], [1, bad])
+
+
 def test_solve_needs_one_right_hand_side_entry_per_row():
     for rhs in ([1], [1, 0, 5]):
         with pytest.raises(ShapeMismatchError, match="right-hand side"):

@@ -5,8 +5,10 @@ loops over index tuples, so it shares no code path with the matmul kernel
 it is checking.
 """
 
+import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -64,6 +66,7 @@ from operadics.multiop import (
 )
 from operadics.scalars import sign_pow
 from operadics.verify import diagonal_mu
+from oracles import drawn_coefficients
 
 
 # --- oracles -----------------------------------------------------------
@@ -348,6 +351,80 @@ def test_shape_and_variance_errors():
             max_abs_diff(zero_op(2, 1), other)
 
 
+def _same_form(a, b):
+    """a and b hold the same values in the same form: the same int64 array
+    and bound, or the same object or float64 coeffs, float bits included."""
+    if a.backend != b.backend or a.degree != b.degree or a.dim != b.dim:
+        return False
+    if (a._ints is None) != (b._ints is None):
+        return False
+    if a._ints is not None:
+        (x, bx), (y, by) = a._ints, b._ints
+        return x.dtype == y.dtype == np.int64 and bx == by and np.array_equal(x, y)
+    if a.backend == FLOAT:
+        return a.coeffs.dtype == b.coeffs.dtype and a.coeffs.tobytes() == b.coeffs.tobytes()
+    return [(type(x), x) for x in a.coeffs.tolist()] == [(type(y), y) for y in b.coeffs.tolist()]
+
+
+def test_sub_equals_adding_the_negated_op():
+    rng = random.Random(30)
+    pairs = []
+    for backend in (EXACT, FLOAT):
+        for dim, degree in ((1, 0), (2, 1), (2, 3), (3, 2)):
+            f = random_op(rng, dim, degree, ENDO, backend)
+            pairs.append((f, random_op(rng, dim, degree, ENDO, backend)))
+    # next to _INT_LIMIT the bound bf + bg decides the int64 form or the
+    # object fallback; Fractions and large ints take object arrays
+    edge = 2**62 - 4
+    below = MultiOp(2, 1, ENDO, [edge, -1, 0, 3])
+    small = MultiOp(2, 1, ENDO, [1, 2, -3, 0])
+    large = MultiOp(2, 1, ENDO, [4, 2, -3, 0])
+    huge = MultiOp(2, 1, ENDO, [2**70, -(2**70), 1, 0])
+    thirds = MultiOp(2, 1, ENDO, [Fraction(1, 3), Fraction(2, 3), 1, 0])
+    pairs += [
+        (below, small),
+        (below, large),
+        (large, below),
+        (below, below),
+        (huge, small),
+        (small, huge),
+        (huge, huge),
+        (thirds, thirds),
+        (thirds, small),
+        (small, thirds),
+        (huge, thirds),
+    ]
+    floats = MultiOp(2, 0, ENDO, [0.0, -0.0])
+    pairs += [(floats, floats), (floats, MultiOp(2, 0, ENDO, [-0.0, 0.0]))]
+    for f, g in pairs:
+        got, want = sub(f, g), add(f, scale(-1, g))
+        assert _same_form(got, want), (f, g)
+        assert _same_form(f - g, want)
+    assert sub(below, small)._ints[1] == 2**62 - 1
+    # bf + bg reaches the limit: the values come back through the object
+    # path, which gives them their own bound
+    assert sub(below, large)._ints[1] == edge - 4
+    assert sub(below, large).coeffs.tolist() == [edge - 4, -3, 3, 3]
+    assert sub(huge, small)._ints is None
+    assert sub(thirds, thirds)._ints[1] == 0 and is_zero(sub(thirds, thirds))
+    # each mismatch raises what adding the negated op raises, in the same order
+    f = random_op(rng, 2, 1)
+    others = [
+        random_op(rng, 3, 1),
+        random_op(rng, 2, 1, COENDO),
+        random_op(rng, 2, 1, ENDO, FLOAT),
+        random_op(rng, 2, 2),
+        random_op(rng, 3, 2, COENDO, FLOAT),
+        random_op(rng, 2, 2, COENDO),
+    ]
+    for g in others:
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(Exception) as want:
+                add(a, scale(-1, b))
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                sub(a, b)
+
+
 def test_int64_addition_overflow_promotes_exactly():
     big = 2**62 - 1
     f = MultiOp(1, 0, ENDO, np.array([big], dtype=np.int64))
@@ -617,7 +694,10 @@ def test_partial_compose_equals_its_brace_term_on_floats():
         for n in (1, 2):
             g = random_op(rng, 2, n, ENDO, FLOAT)
             _, _, _, plans, _ = _terms(f, (g,))
-            stacks = [_evaluate(plan, (f.coeffs, g.coeffs)) for plan in plans]
+            stacks = []
+            for plan in plans:
+                stack, weights = _evaluate(plan, (f.coeffs, g.coeffs)), plan[1]
+                stacks.append(stack if weights is None else stack * weights[:, None])
             terms = np.concatenate(stacks)
             for i in range(m):
                 got = partial_compose(f, g, i).coeffs
@@ -649,13 +729,19 @@ def reference_plan(d, deg_h, degs, sign, rows):
         layout = np.arange(len(first))[:, None] * size + row * span + (pos // w) % span
         parent = np.cumsum(new) - 1
         m += n - 1
-    odd = (slots * (np.array(degs) - 1)).sum(axis=1) % 2 == 1
-    negative = odd if sign > 0 else ~odd
-    if negative.all():
-        return tuple(gathers), -1, layout
-    if negative.any():
-        return tuple(gathers), 0, layout + negative[:, None] * layout.size
-    return tuple(gathers), 1, layout
+    # the Koszul sign of each term, one insertion at a time
+    signs = [
+        sign * math.prod(sign_pow(i * (n - 1)) for i, n in zip(row, degs))
+        for row in slots.tolist()
+    ]
+    weights = None if min(signs) > 0 else np.array(signs, dtype=np.int64)
+    return tuple(gathers), weights, layout
+
+
+def _same_weights(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_plan_indices_equal_the_reference_builder():
@@ -670,7 +756,7 @@ def test_plan_indices_equal_the_reference_builder():
                     for sign, chosen in product((1, -1), (rows, rows[-1:], rows[::2])):
                         got = multiop._plan(d, deg_h, degs, sign, chosen)
                         want = reference_plan(d, deg_h, degs, sign, chosen)
-                        assert got[1] == want[1]
+                        assert _same_weights(got[1], want[1])
                         assert len(got[0]) == len(want[0])
                         for a, b in zip((*got[0], got[2]), (*want[0], want[2])):
                             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -680,7 +766,7 @@ def test_plan_indices_equal_the_reference_builder():
         for i in range(m):
             got = multiop._plan(2, m, (n,), 1, [(i,)])
             want = reference_plan(2, m, (n,), 1, [(i,)])
-            assert got[1] == want[1] and np.array_equal(got[2], want[2])
+            assert _same_weights(got[1], want[1]) and np.array_equal(got[2], want[2])
             assert np.array_equal(got[0][0], want[0][0]), (m, n, i)
     assert checked > 1000
 
@@ -929,6 +1015,26 @@ def test_norm_and_allclose():
     b = MultiOp(2, 0, ENDO, np.array([1.0, 2.0 + 1e-12]))
     assert allclose(a, b, 1e-9)
     assert not allclose(a, b, 1e-15)
+
+
+def test_random_op_draws_what_one_call_per_value_draws():
+    # the same coefficients, float bits included, and the same rng state
+    # after the draw as rng.randint(-3, 3) or rng.uniform(-1.0, 1.0) per value
+    for seed in (0, 1, 7, 2024, 99991):
+        for backend in (EXACT, FLOAT):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for dim in (1, 2, 3):
+                for degree in range(5):
+                    got = random_op(rng, dim, degree, ENDO, backend)
+                    want = drawn_coefficients(oracle, dim ** (degree + 1), backend)
+                    assert rng.getstate() == oracle.getstate(), (seed, dim, degree)
+                    assert got.backend == backend and got.degree == degree
+                    if backend == FLOAT:
+                        assert got.coeffs.tobytes() == np.array(want).tobytes()
+                    else:
+                        arr, bound = got._ints
+                        assert arr.dtype == np.int64 and bound == 3
+                        assert arr.tolist() == want
 
 
 def test_random_op_is_deterministic_per_seed():
